@@ -30,7 +30,6 @@ use crate::segmented::{Placement, PortBook, SegmentedAlloc};
 use crate::stats::LsqStats;
 use crate::store_set::{Ssid, StoreSetPredictor};
 use lsq_isa::{Addr, Pc};
-use lsq_obs::{Event, MemOp, NopTracer, QueueSide, Tracer};
 use std::collections::VecDeque;
 
 /// Outcome of a load trying to issue this cycle.
@@ -61,8 +60,17 @@ pub struct LoadIssued {
     /// Whether dependents may be scheduled early assuming a constant hit
     /// latency (§3: only when the search cannot leave one segment).
     pub early_wakeup: bool,
-    /// Whether the load spent a store-queue search.
+    /// Whether the load spent a store-queue search; its segment path is
+    /// [`Lsq::sq_search_path`].
     pub searched_sq: bool,
+    /// Whether the load spent a load-queue (load-load ordering) search;
+    /// its segment path is [`Lsq::lq_search_path`].
+    pub searched_lq: bool,
+    /// Whether the load searched the load buffer.
+    pub searched_lb: bool,
+    /// Whether a predictor-directed store-queue search found no match
+    /// (the unnecessary-search half of Table 3's misprediction rate).
+    pub useless_search: bool,
     /// A younger same-word load issued out of order, detected by this
     /// load's load-queue or load-buffer search (§2.2 scheme 1); `Some`
     /// only when [`crate::LsqConfig::load_load_squash`] is enabled. The
@@ -104,6 +112,8 @@ pub enum StoreDrain {
         seq: u64,
         /// Its address (for the cache write).
         addr: Addr,
+        /// Its static PC.
+        pc: Pc,
         /// Oldest violating load detected by the commit-time search, to
         /// be squashed by the pipeline (pair/aggressive schemes only).
         violation: Option<u64>,
@@ -137,11 +147,12 @@ struct SqEntry {
 
 /// The configurable load/store queue model.
 ///
-/// The `T` parameter is the trace sink; the default [`NopTracer`]
-/// monomorphizes every emission site away, so untraced queues compile
-/// to the pre-tracing code.
+/// The queue records nothing itself: each operation reports what it
+/// searched and found in its return value and in the segment paths of
+/// [`Lsq::sq_search_path`] / [`Lsq::lq_search_path`], and the caller
+/// forwards that to whatever observes it.
 #[derive(Debug, Clone)]
-pub struct Lsq<T: Tracer = NopTracer> {
+pub struct Lsq {
     cfg: LsqConfig,
     pred: StoreSetPredictor,
     lb: Option<LoadBuffer>,
@@ -157,27 +168,15 @@ pub struct Lsq<T: Tracer = NopTracer> {
     /// Scratch buffer for load-queue search paths.
     lq_path_buf: Vec<usize>,
     stats: LsqStats,
-    tracer: T,
 }
 
-impl Lsq<NopTracer> {
-    /// Builds an untraced LSQ for the given design point.
+impl Lsq {
+    /// Builds an LSQ for the given design point.
     ///
     /// # Errors
     ///
     /// Returns the validation error of an inconsistent [`LsqConfig`].
     pub fn new(cfg: LsqConfig) -> Result<Self, ConfigError> {
-        Self::with_tracer(cfg, NopTracer)
-    }
-}
-
-impl<T: Tracer> Lsq<T> {
-    /// Builds an LSQ emitting queue events to `tracer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation error of an inconsistent [`LsqConfig`].
-    pub fn with_tracer(cfg: LsqConfig, tracer: T) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let (lq_alloc, sq_alloc) = match cfg.segmentation {
             Some(seg) => (
@@ -207,7 +206,6 @@ impl<T: Tracer> Lsq<T> {
             sq_path_buf: Vec::with_capacity(nsegs),
             lq_path_buf: Vec::with_capacity(nsegs),
             stats: LsqStats::new(nsegs),
-            tracer,
             cfg,
         })
     }
@@ -272,14 +270,6 @@ impl<T: Tracer> Lsq<T> {
             lb.on_dispatch(seq, addr);
         }
         self.stats.loads_dispatched += 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(Event::Dispatch {
-                op: MemOp::Load,
-                seq,
-                pc,
-                addr,
-            });
-        }
     }
 
     /// Allocates a store-queue entry for store `seq` (program order).
@@ -303,14 +293,6 @@ impl<T: Tracer> Lsq<T> {
             ssid,
         });
         self.stats.stores_dispatched += 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(Event::Dispatch {
-                op: MemOp::Store,
-                seq,
-                pc,
-                addr,
-            });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -603,49 +585,14 @@ impl<T: Tracer> Lsq<T> {
         e.issued = true;
         e.forwarded_from = forwarded_from;
         self.stats.loads_issued += 1;
-        if self.tracer.enabled() {
-            let pc = self.lq[idx].pc;
-            if searches_sq {
-                self.tracer.emit(Event::SqSearch {
-                    load: seq,
-                    segments: self.sq_path_buf.len() as u32,
-                    hit: forwarded_from.is_some(),
-                });
-                emit_seg_path(&mut self.tracer, QueueSide::Sq, &self.sq_path_buf);
-            }
-            if searches_lq {
-                self.tracer.emit(Event::LqSearch {
-                    by: MemOp::Load,
-                    seq,
-                    segments: self.lq_path_buf.len() as u32,
-                });
-                emit_seg_path(&mut self.tracer, QueueSide::Lq, &self.lq_path_buf);
-            }
-            if lb_searched {
-                self.tracer.emit(Event::LbSearch { load: seq });
-            }
-            if let Some(store) = forwarded_from {
-                self.tracer.emit(Event::Forward {
-                    load: seq,
-                    store,
-                    addr,
-                });
-            }
-            if useless_search {
-                self.tracer.emit(Event::UselessSearch { load: seq, pc });
-            }
-            self.tracer.emit(Event::Issue {
-                op: MemOp::Load,
-                seq,
-                pc,
-                addr,
-            });
-        }
         LoadIssue::Issued(LoadIssued {
             forwarded_from,
             extra_cycles,
             early_wakeup,
             searched_sq: searches_sq,
+            searched_lq: searches_lq,
+            searched_lb: lb_searched,
+            useless_search,
             load_order_violation,
         })
     }
@@ -683,22 +630,6 @@ impl<T: Tracer> Lsq<T> {
             self.pred.on_store_issue(ssid, seq);
         }
         self.stats.stores_issued += 1;
-        if self.tracer.enabled() {
-            if searches_lq {
-                self.tracer.emit(Event::LqSearch {
-                    by: MemOp::Store,
-                    seq,
-                    segments: self.lq_path_buf.len() as u32,
-                });
-                emit_seg_path(&mut self.tracer, QueueSide::Lq, &self.lq_path_buf);
-            }
-            self.tracer.emit(Event::Issue {
-                op: MemOp::Store,
-                seq,
-                pc,
-                addr,
-            });
-        }
 
         if let Some(victim) = violation {
             self.record_violation(victim, pc, false);
@@ -714,14 +645,6 @@ impl<T: Tracer> Lsq<T> {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the LQ violation scan just above returned this victim, so it is resident")
         let load_pc = self.lq[self.lq_index(victim).expect("victim resident")].pc;
         self.pred.train_pair(load_pc, store_pc);
-        if self.tracer.enabled() {
-            self.tracer.emit(Event::Violation {
-                victim,
-                load_pc,
-                store_pc,
-                at_commit,
-            });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -794,14 +717,6 @@ impl<T: Tracer> Lsq<T> {
             self.lq_ports.book(&self.lq_path_buf);
             self.stats.lq_searches_by_stores += 1;
             violation = victim;
-            if self.tracer.enabled() {
-                self.tracer.emit(Event::LqSearch {
-                    by: MemOp::Store,
-                    seq: front.seq,
-                    segments: self.lq_path_buf.len() as u32,
-                });
-                emit_seg_path(&mut self.tracer, QueueSide::Lq, &self.lq_path_buf);
-            }
         }
 
         self.sq.pop_front();
@@ -816,6 +731,7 @@ impl<T: Tracer> Lsq<T> {
         StoreDrain::Drained {
             seq: front.seq,
             addr: front.addr,
+            pc: front.pc,
             violation,
         }
     }
@@ -901,6 +817,19 @@ impl<T: Tracer> Lsq<T> {
     // Introspection
     // ------------------------------------------------------------------
 
+    /// Segment path (youngest segment first) of the last store-queue
+    /// forwarding search; valid until the next `Lsq` call.
+    pub fn sq_search_path(&self) -> &[usize] {
+        &self.sq_path_buf
+    }
+
+    /// Segment path of the last load-queue search (a load's ordering
+    /// search or a store's violation search); valid until the next `Lsq`
+    /// call.
+    pub fn lq_search_path(&self) -> &[usize] {
+        &self.lq_path_buf
+    }
+
     /// Current load-queue occupancy.
     pub fn lq_occupancy(&self) -> usize {
         self.lq.len()
@@ -941,24 +870,6 @@ impl<T: Tracer> Lsq<T> {
     /// The forwarding source bound to an issued load, if any.
     pub fn load_forwarded_from(&self, seq: u64) -> Option<u64> {
         self.lq_index(seq).and_then(|i| self.lq[i].forwarded_from)
-    }
-}
-
-/// Emits one [`Event::SegAdvance`] per hop of a multi-segment search
-/// path. A free function (not a method) so callers can borrow the path
-/// out of the `Lsq` scratch buffers; a no-op unless the tracer is
-/// enabled, so untraced builds pay nothing for path emission.
-// lsq-lint: hot
-fn emit_seg_path<T: Tracer>(tracer: &mut T, queue: QueueSide, path: &[usize]) {
-    if !tracer.enabled() {
-        return;
-    }
-    for w in path.windows(2) {
-        tracer.emit(Event::SegAdvance {
-            queue,
-            from_segment: w[0] as u32,
-            to_segment: w[1] as u32,
-        });
     }
 }
 

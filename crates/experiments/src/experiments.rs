@@ -8,10 +8,8 @@
 
 use crate::runner::{int_fp_means, run_matrix, RunSpec};
 use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc};
-use lsq_obs::NopTracer;
 use lsq_pipeline::{
-    CriticalPath, NopAccountant, NopProfiler, PipeviewRecorder, SimConfig, SimResult, Simulator,
-    CP_COMPONENTS,
+    CriticalPath, PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator, CP_COMPONENTS,
 };
 use lsq_stats::Table;
 use lsq_trace::BenchProfile;
@@ -820,20 +818,19 @@ fn critical_path_for(bench: &str, lsq: LsqConfig, spec: RunSpec) -> Option<Criti
     // Hold the whole measured window so the chain walk never hits an
     // evicted producer mid-window.
     let cap = usize::try_from(spec.instrs).unwrap_or(usize::MAX).max(4096);
-    let mut sim = Simulator::with_lifecycle(
-        SimConfig::with_lsq(lsq),
-        NopTracer,
-        NopProfiler,
-        NopAccountant,
-        PipeviewRecorder::new(cap),
-    );
+    let probe = ProbeSet {
+        life: Some(PipeviewRecorder::new(cap)),
+        ..ProbeSet::default()
+    };
+    let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq), probe);
     sim.prewarm(&stream.data_regions(), stream.code_region());
     if spec.warmup > 0 {
         let _ = sim.run(&mut stream, spec.warmup);
-        let _ = sim.take_pipeview_records();
     }
+    // Discard the warm-up records.
+    sim.probe_mut().life.as_mut()?.take_records();
     let _ = sim.run(&mut stream, spec.instrs);
-    let records = sim.take_pipeview_records()?;
+    let records = sim.into_probe().life?.take_records();
     CriticalPath::analyze(&records)
 }
 

@@ -8,16 +8,9 @@
 
 use crate::engine::{self, Job};
 use lsq_core::LsqConfig;
-use lsq_obs::{
-    CpiStackSampler, NopTracer, PipeRecord, PipeviewConfig, Sampler, SharedTracer, TraceBuffer,
-    TraceConfig, Tracer,
-};
-use lsq_pipeline::{
-    CycleAccountant, Lifecycle, NopAccountant, NopLifecycle, NopProfiler, PipeviewRecorder,
-    Profiler, SimConfig, SimResult, Simulator, SlotAccountant, WallProfiler,
-};
+use lsq_obs::{PipeRecord, Sampler, TraceBuffer, TraceConfig};
+use lsq_pipeline::{NopProbe, Probe, ProbeSet, SimConfig, SimResult, Simulator};
 use lsq_trace::BenchProfile;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Instruction budget for one run.
@@ -73,79 +66,20 @@ pub fn run_design_point(bench: &str, lsq: LsqConfig, scaled: bool, spec: RunSpec
         .expect("one job, one result")
 }
 
-/// Whether `LSQ_PROFILE` asks for the simulator self-profiler: any
-/// non-empty value except `0` enables it (see [`lsq_pipeline::profile`]).
-pub fn profile_enabled() -> bool {
-    lsq_util::knobs::flag("LSQ_PROFILE")
-}
-
-/// Whether `LSQ_ACCOUNTING` asks for cycle accounting (CPI stacks):
-/// any non-empty value except `0` enables it (see
-/// [`lsq_pipeline::accounting`]).
-pub fn accounting_enabled() -> bool {
-    lsq_util::knobs::flag("LSQ_ACCOUNTING")
-}
-
-/// Default window width (cycles) for `LSQ_ACCOUNTING_CSV` rows.
-const DEFAULT_ACCOUNTING_WINDOW: u64 = 10_000;
-
-/// Parses `LSQ_ACCOUNTING_CSV=<path>[:window]`: the destination for
-/// windowed CPI-stack CSV rows and the window width in cycles
-/// (default 10 000). Implies nothing unless `LSQ_ACCOUNTING` is also
-/// set — the sampler hangs off the accountant.
-fn accounting_csv_from_env() -> Option<(PathBuf, u64)> {
-    let raw = lsq_util::knobs::get("LSQ_ACCOUNTING_CSV")?;
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return None;
-    }
-    if let Some((path, window)) = raw.rsplit_once(':') {
-        if let Ok(w) = window.parse::<u64>() {
-            if w > 0 && !path.is_empty() {
-                return Some((PathBuf::from(path), w));
-            }
-        }
-    }
-    Some((PathBuf::from(raw), DEFAULT_ACCOUNTING_WINDOW))
-}
-
-/// Parallel jobs write to distinct paths: job 0 gets the configured
-/// path verbatim, later ones a `.N` suffix (same convention as
-/// [`TraceConfig::for_job`]).
-fn numbered_path(path: &Path, n: u64) -> PathBuf {
-    if n == 0 {
-        path.to_path_buf()
-    } else {
-        PathBuf::from(format!("{}.{n}", path.display()))
-    }
-}
-
-/// The shared simulation core: warm up, snapshot, measure, difference —
-/// generic over the trace sink, the self-profiler, and the cycle
-/// accountant so every (traced?, profiled?, accounted?) combination
-/// monomorphizes to exactly the code it needs. The returned result
-/// carries the profiler's report (whole run, warm-up included — like
-/// `wall_nanos`, it is host-side timing and not windowed by the diff)
-/// and the warm-up-differenced CPI stack (a simulated quantity, so it
-/// *is* windowed by the diff).
-#[allow(clippy::type_complexity)]
-#[allow(clippy::too_many_arguments)]
-fn simulate_parts<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle>(
+/// The one simulation path: warm up, snapshot, measure, difference.
+/// Generic over the probe, so it has exactly two instantiations: the
+/// unobserved [`NopProbe`] and the knob-driven [`ProbeSet`]. The
+/// probe's phase profile covers the whole run, warm-up included (like
+/// `wall_nanos`, it is host-side timing and not windowed by the diff);
+/// its CPI stack and stage latencies are simulated quantities, so they
+/// *are* windowed by the diff.
+fn simulate<P: Probe>(
     bench: &str,
     lsq: LsqConfig,
     scaled: bool,
     spec: RunSpec,
-    tracer: T,
-    profiler: P,
-    acct: A,
-    life: L,
-    sample_window: Option<u64>,
-) -> (
-    SimResult,
-    Option<Sampler>,
-    Option<CpiStackSampler>,
-    Option<(Vec<PipeRecord>, u64)>,
-) {
+    probe: P,
+) -> (SimResult, P) {
     // lsq-lint: allow(no-unwrap-in-lib, reason = "documented # Panics contract: bench must be one of the 18 profile names")
     let profile = BenchProfile::named(bench).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
     let cfg = if scaled {
@@ -154,66 +88,45 @@ fn simulate_parts<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecyc
         SimConfig::with_lsq(lsq)
     };
     let mut stream = profile.stream(spec.seed);
-    let mut sim = Simulator::with_lifecycle(cfg, tracer, profiler, acct, life);
-    if let Some(window) = sample_window {
-        sim.set_sampler(Sampler::new(window));
-    }
+    let mut sim = Simulator::with_probe(cfg, probe);
     sim.prewarm(&stream.data_regions(), stream.code_region());
     if spec.warmup > 0 {
         let _ = sim.run(&mut stream, spec.warmup);
     }
     let before = sim.run(&mut stream, 0);
     let after = sim.run(&mut stream, spec.instrs);
-    let result = diff_results(&before, &after);
-    let sampler = sim.take_sampler();
-    let cpi_sampler = sim.take_cpi_sampler();
-    let dropped = sim.pipeview_dropped();
-    let pipeview = sim.take_pipeview_records().map(|recs| (recs, dropped));
-    (result, sampler, cpi_sampler, pipeview)
+    (diff_results(&before, &after), sim.into_probe())
 }
 
-/// [`simulate_with_lifecycle`] with the lifecycle recorder chosen by
-/// `LSQ_PIPEVIEW`: recorded runs carry a [`PipeviewRecorder`] and write
-/// the pipeline-viewer log on the way out; disabled runs use the
-/// zero-cost [`NopLifecycle`].
-fn simulate<T: Tracer + Clone, P: Profiler>(
-    bench: &str,
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
-    tracer: T,
-    profiler: P,
-    sample_window: Option<u64>,
-) -> (SimResult, Option<Sampler>) {
-    let Some(pv) = PipeviewConfig::from_env() else {
-        let (result, sampler, _) = simulate_with_lifecycle(
-            bench,
-            lsq,
-            scaled,
-            spec,
-            tracer,
-            profiler,
-            NopLifecycle,
-            sample_window,
-        );
-        return (result, sampler);
-    };
-    // Parallel jobs write to distinct paths: job 0 gets the configured
-    // path verbatim, later ones a `.N` suffix.
-    static PIPEVIEW_JOBS: AtomicU64 = AtomicU64::new(0);
-    let pv = pv.for_job(PIPEVIEW_JOBS.fetch_add(1, Ordering::Relaxed));
-    let (result, sampler, pipeview) = simulate_with_lifecycle(
-        bench,
-        lsq,
-        scaled,
-        spec,
-        tracer,
-        profiler,
-        PipeviewRecorder::new(pv.capacity),
-        sample_window,
-    );
-    if let Some((records, dropped)) = pipeview {
-        warn_on_pipeview_drops(bench, &records, dropped, pv.capacity);
+/// Numbers a probe set's output files by engine job: parallel jobs
+/// write to distinct paths, job 0 to the configured paths verbatim and
+/// later ones with a `.N` suffix. One number per job, taken before the
+/// run, so every file of a job carries the same suffix.
+fn number_sinks(probe: ProbeSet) -> ProbeSet {
+    static SINK_JOBS: AtomicU64 = AtomicU64::new(0);
+    if probe.sinks.is_empty() {
+        return probe;
+    }
+    probe.for_job(SINK_JOBS.fetch_add(1, Ordering::Relaxed))
+}
+
+/// Writes a finished run's recorders to their sinks: the windowed
+/// CPI-stack CSV, the pipeline-viewer log, then the event trace and
+/// timeline.
+fn flush_sinks(bench: &str, probe: &mut ProbeSet) {
+    let cpi = probe.acct.as_mut().and_then(|a| a.take_sampler());
+    if let (Some(path), Some(cpi)) = (&probe.sinks.cpi_csv, cpi) {
+        match std::fs::write(path, cpi.to_csv()) {
+            Ok(()) => eprintln!("cpi-stack csv: {bench} -> {}", path.display()),
+            Err(e) => eprintln!(
+                "warning: could not write LSQ_ACCOUNTING_CSV={}: {e}",
+                path.display()
+            ),
+        }
+    }
+    if let (Some(pv), Some(life)) = (&probe.sinks.pipeview, &mut probe.life) {
+        let records = life.take_records();
+        warn_on_pipeview_drops(bench, &records, life.dropped(), pv.capacity);
         match pv.write(&records) {
             Ok(path) => eprintln!("pipeview: {bench} -> {}", path.display()),
             Err(e) => eprintln!(
@@ -222,69 +135,22 @@ fn simulate<T: Tracer + Clone, P: Profiler>(
             ),
         }
     }
-    (result, sampler)
-}
-
-/// [`simulate_parts`] with the cycle accountant chosen by
-/// `LSQ_ACCOUNTING` / `LSQ_ACCOUNTING_CSV`: disabled runs use the
-/// zero-cost [`NopAccountant`]; accounted runs carry a
-/// [`SlotAccountant`] and, when a CSV path is configured, write the
-/// windowed per-component timeline on the way out. Returns the drained
-/// lifecycle records (and their drop count) alongside the result.
-#[allow(clippy::type_complexity)]
-#[allow(clippy::too_many_arguments)]
-fn simulate_with_lifecycle<T: Tracer + Clone, P: Profiler, L: Lifecycle>(
-    bench: &str,
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
-    tracer: T,
-    profiler: P,
-    life: L,
-    sample_window: Option<u64>,
-) -> (SimResult, Option<Sampler>, Option<(Vec<PipeRecord>, u64)>) {
-    if !accounting_enabled() {
-        let (result, sampler, _, pipeview) = simulate_parts(
-            bench,
-            lsq,
-            scaled,
-            spec,
-            tracer,
-            profiler,
-            NopAccountant,
-            life,
-            sample_window,
-        );
-        return (result, sampler, pipeview);
-    }
-    let csv = accounting_csv_from_env();
-    let acct = match &csv {
-        Some((_, window)) => SlotAccountant::with_sampler(*window),
-        None => SlotAccountant::new(),
-    };
-    let (result, sampler, cpi_sampler, pipeview) = simulate_parts(
-        bench,
-        lsq,
-        scaled,
-        spec,
-        tracer,
-        profiler,
-        acct,
-        life,
-        sample_window,
-    );
-    if let (Some((path, _)), Some(cpi)) = (csv, cpi_sampler) {
-        static ACCT_CSV_JOBS: AtomicU64 = AtomicU64::new(0);
-        let path = numbered_path(&path, ACCT_CSV_JOBS.fetch_add(1, Ordering::Relaxed));
-        match std::fs::write(&path, cpi.to_csv()) {
-            Ok(()) => eprintln!("cpi-stack csv: {bench} -> {}", path.display()),
+    if let Some(trace) = probe.sinks.trace.clone() {
+        let sampler = probe.take_sampler();
+        let buf = probe.trace.take().unwrap_or_default();
+        warn_on_trace_drops(bench, &buf);
+        match trace.write(&buf, sampler.as_ref()) {
+            Ok(paths) => {
+                for p in paths {
+                    eprintln!("trace: {bench} -> {}", p.display());
+                }
+            }
             Err(e) => eprintln!(
-                "warning: could not write LSQ_ACCOUNTING_CSV={}: {e}",
-                path.display()
+                "warning: could not write LSQ_TRACE={}: {e}",
+                trace.path.display()
             ),
         }
     }
-    (result, sampler, pipeview)
 }
 
 /// Surfaces pipeview-ring overflow at sink flush: a pipeline-viewer log
@@ -304,76 +170,22 @@ fn warn_on_pipeview_drops(bench: &str, records: &[PipeRecord], dropped: u64, cap
 
 /// The uncached simulation underneath [`run_design_point`]: warm up,
 /// snapshot, measure, difference. Called by the engine for cache misses.
-/// Honours `LSQ_TRACE` (event ring + sampler) and `LSQ_PROFILE` (phase
-/// profiler) in any combination.
-///
-/// The warm-up phase runs on the same machine state; measured counters
-/// are obtained by differencing cumulative counters against the
-/// post-warm-up snapshot.
+/// Attaches whatever [`ProbeSet::from_env`] asks for (`LSQ_TRACE`,
+/// `LSQ_PROFILE`, `LSQ_ACCOUNTING`, `LSQ_PIPEVIEW`, in any combination)
+/// and writes its sinks after the run; with every knob off the run is
+/// unobserved.
 pub(crate) fn run_design_point_uncached(
     bench: &str,
     lsq: LsqConfig,
     scaled: bool,
     spec: RunSpec,
 ) -> SimResult {
-    let profiled = profile_enabled();
-    if let Some(trace) = TraceConfig::from_env() {
-        // Parallel jobs write to distinct paths: job 0 gets the
-        // configured path verbatim, later ones a `.N` suffix.
-        static TRACED_JOBS: AtomicU64 = AtomicU64::new(0);
-        let trace = trace.for_job(TRACED_JOBS.fetch_add(1, Ordering::Relaxed));
-        let tracer = SharedTracer::with_capacity(trace.capacity);
-        let window = trace.effective_sample_cycles();
-        let (result, sampler) = if profiled {
-            simulate(
-                bench,
-                lsq,
-                scaled,
-                spec,
-                tracer.clone(),
-                WallProfiler::new(),
-                window,
-            )
-        } else {
-            simulate(
-                bench,
-                lsq,
-                scaled,
-                spec,
-                tracer.clone(),
-                NopProfiler,
-                window,
-            )
-        };
-        let buf = tracer.snapshot();
-        warn_on_trace_drops(bench, &buf);
-        match trace.write(&buf, sampler.as_ref()) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("trace: {bench} -> {}", p.display());
-                }
-            }
-            Err(e) => eprintln!(
-                "warning: could not write LSQ_TRACE={}: {e}",
-                trace.path.display()
-            ),
-        }
-        return result;
-    }
-    if profiled {
-        simulate(
-            bench,
-            lsq,
-            scaled,
-            spec,
-            NopTracer,
-            WallProfiler::new(),
-            None,
-        )
-        .0
-    } else {
-        simulate(bench, lsq, scaled, spec, NopTracer, NopProfiler, None).0
-    }
+    let Some(probe) = ProbeSet::from_env() else {
+        return simulate(bench, lsq, scaled, spec, NopProbe).0;
+    };
+    let (result, mut probe) = simulate(bench, lsq, scaled, spec, number_sinks(probe));
+    flush_sinks(bench, &mut probe);
+    result
 }
 
 /// Surfaces trace-ring overflow at sink flush: a truncated JSONL/Chrome
@@ -393,10 +205,11 @@ fn warn_on_trace_drops(bench: &str, buf: &TraceBuffer) {
     }
 }
 
-/// [`run_design_point_uncached`] with tracing: the simulator carries a
-/// [`SharedTracer`] ring (and, when the config asks for one, a windowed
-/// [`Sampler`]) and the captured buffer and flushed sampler are returned
-/// alongside the measured-phase result.
+/// [`run_design_point_uncached`] with tracing: the probe set carries a
+/// [`TraceBuffer`] ring sized by `trace` (and, when it asks for one, a
+/// windowed [`Sampler`]) and the captured buffer and flushed sampler are
+/// returned alongside the measured-phase result instead of being written
+/// to `trace`'s files. The other `LSQ_*` observers still apply.
 ///
 /// The sampler is attached before the warm-up phase so its per-window
 /// deltas partition the *whole* run — summing `committed` over every
@@ -413,17 +226,14 @@ pub fn run_traced(
     spec: RunSpec,
     trace: &TraceConfig,
 ) -> (SimResult, TraceBuffer, Option<Sampler>) {
-    let tracer = SharedTracer::with_capacity(trace.capacity);
-    let (result, sampler) = simulate(
-        bench,
-        lsq,
-        scaled,
-        spec,
-        tracer.clone(),
-        NopProfiler,
-        trace.effective_sample_cycles(),
-    );
-    (result, tracer.snapshot(), sampler)
+    let mut probe = ProbeSet::from_env().unwrap_or_default();
+    probe.trace = Some(TraceBuffer::with_capacity(trace.capacity));
+    probe.sampler = trace.effective_sample_cycles().map(Sampler::new);
+    probe.sinks.trace = None;
+    let (result, mut probe) = simulate(bench, lsq, scaled, spec, number_sinks(probe));
+    flush_sinks(bench, &mut probe);
+    let sampler = probe.take_sampler();
+    (result, probe.trace.unwrap_or_default(), sampler)
 }
 
 /// Subtracts the warm-up prefix from cumulative counters so the result

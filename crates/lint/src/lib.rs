@@ -4,10 +4,10 @@
 //!
 //! The simulator's performance trajectory rests on invariants the
 //! compiler cannot see: hot search loops must stay allocation-free, the
-//! `Nop{Tracer,Profiler,Accountant}` generics must stay truly
-//! zero-cost, every `LSQ_*` environment knob must be registered and
-//! documented, metric names must stay greppable, and every relaxed
-//! atomic must say why it is safe. This crate checks those rules
+//! `NopProbe` observer must stay truly zero-cost, every `LSQ_*`
+//! environment knob must be registered and documented, metric names
+//! must stay greppable, and every relaxed atomic must say why it is
+//! safe. This crate checks those rules
 //! mechanically on every `cargo test` (via the root `lint_clean` test)
 //! and in CI, so refactors can be aggressive without silently
 //! regressing the properties the benchmarks depend on.

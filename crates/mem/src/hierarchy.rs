@@ -2,7 +2,7 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use lsq_isa::Addr;
-use lsq_obs::{Event, MissLevel, NopTracer, Tracer};
+use lsq_obs::MissLevel;
 
 /// Configuration of the full hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,36 +59,32 @@ impl HierarchyConfig {
     }
 }
 
+/// What one access cost and how far down the hierarchy it went.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// Total latency in cycles.
+    pub latency: u32,
+    /// Where an L1 miss was served; `None` on an L1 hit.
+    pub miss: Option<MissLevel>,
+}
+
 /// The L1I/L1D/L2/memory timing model.
-///
-/// The `T` parameter is the trace sink; the default [`NopTracer`]
-/// monomorphizes every emission site away, so untraced hierarchies
-/// compile to the pre-tracing code.
 #[derive(Debug, Clone)]
-pub struct MemoryHierarchy<T: Tracer = NopTracer> {
+pub struct MemoryHierarchy {
     cfg: HierarchyConfig,
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
-    tracer: T,
 }
 
-impl MemoryHierarchy<NopTracer> {
-    /// Builds an empty, untraced hierarchy.
+impl MemoryHierarchy {
+    /// Builds an empty hierarchy.
     pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::with_tracer(cfg, NopTracer)
-    }
-}
-
-impl<T: Tracer> MemoryHierarchy<T> {
-    /// Builds an empty hierarchy emitting cache-miss events to `tracer`.
-    pub fn with_tracer(cfg: HierarchyConfig, tracer: T) -> Self {
         Self {
             cfg,
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
-            tracer,
         }
     }
 
@@ -97,43 +93,33 @@ impl<T: Tracer> MemoryHierarchy<T> {
         &self.cfg
     }
 
-    /// The trace sink (for setting the cycle from the owning pipeline).
-    pub fn tracer_mut(&mut self) -> &mut T {
-        &mut self.tracer
-    }
-
     /// Performs a data access (load or store write-through to L1) and
     /// returns its total latency in cycles.
     pub fn data_access(&mut self, addr: Addr, write: bool) -> u32 {
-        self.access_inner(addr, write, false, true)
+        self.access(addr, write, false).latency
     }
 
-    /// Performs an instruction fetch of the block containing `pc_addr` and
-    /// returns its latency in cycles.
-    pub fn inst_fetch(&mut self, pc_addr: Addr) -> u32 {
-        self.access_inner(pc_addr, false, true, true)
-    }
-
-    fn access_inner(&mut self, addr: Addr, write: bool, fetch: bool, trace: bool) -> u32 {
+    /// Performs a data access, or with `fetch` an instruction fetch of
+    /// the block containing `addr`, and reports its latency and miss
+    /// level.
+    pub fn access(&mut self, addr: Addr, write: bool, fetch: bool) -> Access {
         let (l1, l1_cfg) = if fetch {
             (&mut self.l1i, &self.cfg.l1i)
         } else {
             (&mut self.l1d, &self.cfg.l1d)
         };
-        let mut lat = l1_cfg.hit_latency;
+        let mut latency = l1_cfg.hit_latency;
+        let mut miss = None;
         if !l1.access(addr, write && !fetch) {
-            lat += self.cfg.l2.hit_latency;
-            let level = if self.l2.access(addr, false) {
+            latency += self.cfg.l2.hit_latency;
+            miss = Some(if self.l2.access(addr, false) {
                 MissLevel::L2
             } else {
-                lat += self.cfg.mem_latency;
+                latency += self.cfg.mem_latency;
                 MissLevel::Memory
-            };
-            if trace && self.tracer.enabled() {
-                self.tracer.emit(Event::CacheMiss { addr, level, fetch });
-            }
+            });
         }
-        lat
+        Access { latency, miss }
     }
 
     /// Whether a data access to `addr` would hit in the L1 d-cache.
@@ -165,8 +151,7 @@ impl<T: Tracer> MemoryHierarchy<T> {
         for &(base, bytes) in regions {
             let mut a = base;
             while a < base + bytes {
-                // trace=false: warm-up fills are not simulated events.
-                self.access_inner(Addr(a), false, false, false);
+                self.access(Addr(a), false, false);
                 a += block;
             }
         }
@@ -178,7 +163,7 @@ impl<T: Tracer> MemoryHierarchy<T> {
         let block = self.cfg.l1i.block_bytes;
         let mut a = base;
         while a < base + bytes {
-            self.access_inner(Addr(a), false, true, false);
+            self.access(Addr(a), false, true);
             a += block;
         }
         self.clear_stats();
@@ -245,8 +230,8 @@ mod tests {
     #[test]
     fn inst_fetch_uses_icache() {
         let mut m = MemoryHierarchy::new(HierarchyConfig::default());
-        let cold = m.inst_fetch(Addr(0x400000));
-        let warm = m.inst_fetch(Addr(0x400000));
+        let cold = m.access(Addr(0x400000), false, true).latency;
+        let warm = m.access(Addr(0x400000), false, true).latency;
         assert_eq!(cold, 164);
         assert_eq!(warm, 2);
         assert_eq!(m.l1i_stats().accesses(), 2);
@@ -256,8 +241,8 @@ mod tests {
     #[test]
     fn l2_shared_between_i_and_d() {
         let mut m = MemoryHierarchy::new(HierarchyConfig::default());
-        m.inst_fetch(Addr(0x10000)); // fills L2
-                                     // Data access to the same block: L1D miss, L2 hit.
+        m.access(Addr(0x10000), false, true); // fills L2
+                                              // Data access to the same block: L1D miss, L2 hit.
         assert_eq!(m.data_access(Addr(0x10000), false), 14);
     }
 
@@ -287,7 +272,7 @@ mod tests {
     fn prewarm_code_fills_icache() {
         let mut m = MemoryHierarchy::new(HierarchyConfig::default());
         m.prewarm_code(0x40_0000, 2048);
-        assert_eq!(m.inst_fetch(Addr(0x40_0000)), 2);
+        assert_eq!(m.access(Addr(0x40_0000), false, true).latency, 2);
         assert_eq!(m.l1i_stats().misses, 0);
     }
 
@@ -301,33 +286,17 @@ mod tests {
     }
 
     #[test]
-    fn traced_hierarchy_emits_misses_but_not_prewarm() {
-        use lsq_obs::SharedTracer;
-        let tracer = SharedTracer::with_capacity(64);
-        let mut m = MemoryHierarchy::with_tracer(HierarchyConfig::default(), tracer.clone());
-        m.prewarm_data(&[(0x10_0000, 4096)]);
-        assert_eq!(tracer.snapshot().len(), 0, "prewarm is silent");
-        m.data_access(Addr(0x30_0000), false); // memory miss
-        m.data_access(Addr(0x30_0000), false); // L1 hit: no event
-        m.inst_fetch(Addr(0x30_0000)); // L1I miss, L2 hit
-        let snap = tracer.snapshot();
-        let events: Vec<_> = snap.events().collect();
-        assert_eq!(events.len(), 2);
+    fn access_reports_the_miss_level() {
+        let mut m = MemoryHierarchy::new(HierarchyConfig::default());
+        let miss = |a: Access| a.miss;
         assert_eq!(
-            events[0].event,
-            Event::CacheMiss {
-                addr: Addr(0x30_0000),
-                level: MissLevel::Memory,
-                fetch: false
-            }
+            miss(m.access(Addr(0x30_0000), false, false)),
+            Some(MissLevel::Memory)
         );
+        assert_eq!(miss(m.access(Addr(0x30_0000), false, false)), None);
         assert_eq!(
-            events[1].event,
-            Event::CacheMiss {
-                addr: Addr(0x30_0000),
-                level: MissLevel::L2,
-                fetch: true
-            }
+            miss(m.access(Addr(0x30_0000), false, true)),
+            Some(MissLevel::L2)
         );
     }
 

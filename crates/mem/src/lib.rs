@@ -29,4 +29,4 @@ pub mod cache;
 pub mod hierarchy;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use hierarchy::{HierarchyConfig, MemoryHierarchy};
+pub use hierarchy::{Access, HierarchyConfig, MemoryHierarchy};

@@ -90,21 +90,6 @@ impl TraceConfig {
         }
     }
 
-    /// A copy with the output path uniquified for engine job `n`:
-    /// job 0 writes the configured path verbatim; job `n` appends
-    /// `.n` before nothing (i.e. `out.json` → `out.json.3`) so
-    /// parallel jobs never clobber each other.
-    pub fn for_job(&self, n: u64) -> TraceConfig {
-        if n == 0 {
-            return self.clone();
-        }
-        let mut cfg = self.clone();
-        let mut os = cfg.path.into_os_string();
-        os.push(format!(".{n}"));
-        cfg.path = PathBuf::from(os);
-        cfg
-    }
-
     /// Path of the CSV timeline sidecar written alongside `events` /
     /// `chrome` output when sampling is on.
     pub fn timeline_path(&self) -> PathBuf {
@@ -115,7 +100,7 @@ impl TraceConfig {
 
     /// Write the configured outputs. Returns the paths written. The
     /// sampler, if provided, should already be flushed by the caller
-    /// (the simulator's `take_sampler` does this).
+    /// (`ProbeSet::take_sampler` in `lsq-pipeline` does this).
     pub fn write(
         &self,
         buf: &TraceBuffer,
@@ -147,6 +132,17 @@ impl TraceConfig {
         }
         Ok(written)
     }
+}
+
+/// `path` uniquified for engine job `n`: job 0 writes the configured
+/// path verbatim; job `n` appends `.n` (`out.json` → `out.json.3`) so
+/// parallel jobs never clobber each other.
+pub fn numbered(path: &Path, n: u64) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    if n > 0 {
+        os.push(format!(".{n}"));
+    }
+    PathBuf::from(os)
 }
 
 fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
@@ -202,8 +198,8 @@ mod tests {
     #[test]
     fn job_paths_are_unique_and_job_zero_is_verbatim() {
         let c = TraceConfig::parse("/tmp/t.json:chrome", None);
-        assert_eq!(c.for_job(0).path, PathBuf::from("/tmp/t.json"));
-        assert_eq!(c.for_job(3).path, PathBuf::from("/tmp/t.json.3"));
+        assert_eq!(numbered(&c.path, 0), PathBuf::from("/tmp/t.json"));
+        assert_eq!(numbered(&c.path, 3), PathBuf::from("/tmp/t.json.3"));
         assert_eq!(c.timeline_path(), PathBuf::from("/tmp/t.json.timeline.csv"));
     }
 }

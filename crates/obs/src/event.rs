@@ -4,9 +4,8 @@
 //! through: queue dispatch/issue, the three search kinds (store-queue
 //! forwarding, load-queue ordering, load-buffer), forwarding hits,
 //! violations and the squashes they cause, segment-pipeline advances,
-//! and cache misses. Events are small `Copy` values; the emitting sites
-//! guard on [`crate::Tracer::enabled`] so a disabled tracer costs
-//! nothing.
+//! and cache misses. Events are small `Copy` values built only when a
+//! trace ring is attached.
 
 use crate::json::Json;
 use lsq_isa::{Addr, Pc};

@@ -6,12 +6,11 @@
 //! end-of-run aggregates) cannot show *when* or *why* a counter moved.
 //! This crate adds the missing audit trail without taxing untraced runs:
 //!
-//! * **Typed event tracing** — a [`Tracer`] trait whose no-op default
-//!   ([`NopTracer`]) monomorphizes to nothing, so `Simulator::new` /
-//!   `Lsq::new` compile to exactly the pre-tracing code. A
-//!   [`SharedTracer`] collects [`Event`]s into a bounded ring buffer
-//!   ([`TraceBuffer`]) and serializes them to JSONL or Chrome
-//!   `trace_event` JSON (open in Perfetto or `chrome://tracing`).
+//! * **Typed event tracing** — [`Event`]s collected into a bounded ring
+//!   buffer ([`TraceBuffer`]) and serialized to JSONL or Chrome
+//!   `trace_event` JSON (open in Perfetto or `chrome://tracing`). The
+//!   simulator's probe set fills the ring; untraced simulators carry no
+//!   ring at all.
 //! * **Windowed sampling** — a [`Sampler`] turns per-cycle observations
 //!   into fixed-width window rows (IPC, queue occupancy, search demand,
 //!   in-flight loads) dumped as CSV, so warm-up vs. measured behaviour
@@ -43,7 +42,7 @@ pub mod sample;
 pub mod tracer;
 
 pub use attrib::{PcAttribution, PcCounters};
-pub use config::{TraceConfig, TraceMode};
+pub use config::{numbered, TraceConfig, TraceMode};
 pub use cpisample::{CpiStackSampler, CpiWindow};
 pub use event::{Event, MemOp, MissLevel, QueueSide, SquashCause, TimedEvent};
 pub use json::Json;
@@ -53,4 +52,4 @@ pub use pipeview::{
 };
 pub use registry::{Metric, MetricValue, Registry, Section};
 pub use sample::{SampleInput, SampleRow, Sampler};
-pub use tracer::{NopTracer, SharedTracer, TraceBuffer, Tracer, DEFAULT_RING_CAPACITY};
+pub use tracer::{TraceBuffer, DEFAULT_RING_CAPACITY};

@@ -150,20 +150,6 @@ impl PipeviewConfig {
         Some(cfg)
     }
 
-    /// A copy with the output path uniquified for engine job `n`
-    /// (job 0 verbatim, job `n` appends `.n`), mirroring
-    /// [`crate::TraceConfig::for_job`].
-    pub fn for_job(&self, n: u64) -> PipeviewConfig {
-        if n == 0 {
-            return self.clone();
-        }
-        let mut cfg = self.clone();
-        let mut os = cfg.path.into_os_string();
-        os.push(format!(".{n}"));
-        cfg.path = PathBuf::from(os);
-        cfg
-    }
-
     /// Render `records` in the configured format and write the file.
     pub fn write(&self, records: &[PipeRecord]) -> std::io::Result<PathBuf> {
         let text = match self.mode {
@@ -479,13 +465,6 @@ mod tests {
         // Unrecognized suffix stays part of the path.
         let c = PipeviewConfig::parse("view:v2");
         assert_eq!(c.path, PathBuf::from("view:v2"));
-    }
-
-    #[test]
-    fn job_paths_are_unique_and_job_zero_is_verbatim() {
-        let c = PipeviewConfig::parse("/tmp/p.log:o3");
-        assert_eq!(c.for_job(0).path, PathBuf::from("/tmp/p.log"));
-        assert_eq!(c.for_job(2).path, PathBuf::from("/tmp/p.log.2"));
     }
 
     #[test]

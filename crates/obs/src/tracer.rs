@@ -1,16 +1,8 @@
-//! The [`Tracer`] trait, its zero-cost no-op default, and the bounded
-//! ring-buffer sink.
+//! The bounded event ring-buffer sink.
 //!
-//! The simulator structs take a `T: Tracer = NopTracer` type parameter;
-//! every emission site is guarded by `if self.tracer.enabled()`, and
-//! [`NopTracer::enabled`] is a constant `false`, so untraced builds
-//! monomorphize to exactly the pre-tracing code (the bench acceptance
-//! criterion). A [`SharedTracer`] is a cloneable handle to one
-//! [`TraceBuffer`]; the simulator, its LSQ, and its memory hierarchy
-//! each hold a clone and append to the same ring.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! The simulator's probe set owns one [`TraceBuffer`] and appends the
+//! events of every layer to it in emission order (see
+//! `lsq_pipeline::probe`).
 
 use crate::attrib::PcAttribution;
 use crate::event::{Event, TimedEvent};
@@ -20,43 +12,6 @@ use crate::json::Json;
 /// hundred thousand instructions keeps its tail without unbounded
 /// memory growth.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 18;
-
-/// Receives events from the simulator. All methods default to no-ops;
-/// emission sites must guard payload construction behind
-/// [`Tracer::enabled`] so a disabled tracer costs nothing.
-pub trait Tracer {
-    /// Whether events should be constructed and emitted at all.
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Called once per simulated cycle, before any events of that cycle.
-    fn set_cycle(&mut self, _cycle: u64) {}
-
-    /// Record one event at the current cycle.
-    fn emit(&mut self, _event: Event) {}
-}
-
-/// The do-nothing tracer; the default for every simulator struct.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NopTracer;
-
-// Spelled out (rather than relying on trait defaults) so lsq-lint's
-// zero-cost-nop rule can check the contract locally: every method
-// trivial and #[inline(always)], so untraced builds monomorphize to
-// exactly the pre-tracing code.
-impl Tracer for NopTracer {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn set_cycle(&mut self, _cycle: u64) {}
-
-    #[inline(always)]
-    fn emit(&mut self, _event: Event) {}
-}
 
 /// A bounded ring of [`TimedEvent`]s plus always-on per-PC attribution.
 ///
@@ -193,50 +148,6 @@ impl TraceBuffer {
     }
 }
 
-/// A cloneable handle to a shared [`TraceBuffer`]. The simulator and
-/// its sub-components each hold a clone; all events land in one ring in
-/// emission order. `Rc`-based: a traced simulator stays on the thread
-/// that built it (the experiment engine constructs simulators locally
-/// per worker, so this never crosses threads).
-#[derive(Debug, Clone, Default)]
-pub struct SharedTracer(Rc<RefCell<TraceBuffer>>);
-
-impl SharedTracer {
-    /// A tracer over a fresh buffer with [`DEFAULT_RING_CAPACITY`].
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// A tracer over a fresh buffer bounded to `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SharedTracer(Rc::new(RefCell::new(TraceBuffer::with_capacity(capacity))))
-    }
-
-    /// Run `f` with a shared borrow of the buffer (serialize, inspect).
-    pub fn with_buffer<R>(&self, f: impl FnOnce(&TraceBuffer) -> R) -> R {
-        f(&self.0.borrow())
-    }
-
-    /// A deep copy of the buffer's current contents.
-    pub fn snapshot(&self) -> TraceBuffer {
-        self.0.borrow().clone()
-    }
-}
-
-impl Tracer for SharedTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn set_cycle(&mut self, cycle: u64) {
-        self.0.borrow_mut().set_cycle(cycle);
-    }
-
-    fn emit(&mut self, event: Event) {
-        self.0.borrow_mut().push(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,16 +174,6 @@ mod tests {
         assert_eq!(buf.total(), 5);
         let first = buf.events().next().unwrap();
         assert_eq!(first.cycle, 2);
-    }
-
-    #[test]
-    fn clones_share_one_ring() {
-        let mut a = SharedTracer::with_capacity(16);
-        let mut b = a.clone();
-        a.set_cycle(1);
-        a.emit(ev(0));
-        b.emit(ev(1));
-        assert_eq!(a.snapshot().len(), 2);
     }
 
     #[test]
@@ -315,11 +216,5 @@ mod tests {
         assert_eq!(last.get("ph").and_then(Json::as_str), Some("X"));
         assert_eq!(last.get("dur").and_then(Json::as_u64), Some(4));
         assert_eq!(last.get("ts").and_then(Json::as_u64), Some(3));
-    }
-
-    #[test]
-    fn nop_tracer_is_disabled() {
-        let t = NopTracer;
-        assert!(!t.enabled());
     }
 }

@@ -18,12 +18,12 @@
 //! [`Simulator::run`](crate::Simulator) and pinned by tests across all
 //! design points.
 //!
-//! The machinery mirrors the tracer/profiler zero-cost pattern: the
-//! simulator is generic over a [`CycleAccountant`], the default
-//! [`NopAccountant`] reports `enabled() == false` as a compile-time
-//! constant, and every attribution site sits behind that check — an
-//! unaccounted simulator monomorphizes to the pre-accounting code.
-//! [`SlotAccountant`] accumulates the stack and can feed a windowed
+//! A [`SlotAccountant`] is the accountant of a
+//! [`ProbeSet`](crate::probe::ProbeSet): the simulator charges base
+//! slots through the probe's commit hook and classified stall slots
+//! through its stall hook, and with
+//! [`NopProbe`](crate::probe::NopProbe) every attribution site compiles
+//! away. [`SlotAccountant`] accumulates the stack and can feed a windowed
 //! [`CpiStackSampler`] so the per-component timeline lands in CSV next
 //! to the IPC sampler's.
 
@@ -155,81 +155,6 @@ impl Component {
     }
 }
 
-/// A cycle-accounting sink for the simulator. The default methods are
-/// the no-op implementation, so [`NopAccountant`] is just the trait's
-/// defaults; attribution sites guard on [`CycleAccountant::enabled`],
-/// which must be a constant `false` for the no-op to vanish under
-/// monomorphization.
-pub trait CycleAccountant {
-    /// Whether attribution sites should classify at all.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Tells the accountant the machine's commit width (slots per
-    /// cycle); called once at simulator construction.
-    #[inline]
-    fn init(&mut self, commit_width: u64) {
-        let _ = commit_width;
-    }
-
-    /// Charges `slots` commit slots to `component`.
-    #[inline]
-    fn charge(&mut self, component: Component, slots: u64) {
-        let _ = (component, slots);
-    }
-
-    /// Marks the end of a simulated cycle (feeds the windowed sampler).
-    #[inline]
-    fn end_cycle(&mut self, cycle: u64) {
-        let _ = cycle;
-    }
-
-    /// The accumulated stack, or `None` when disabled.
-    fn report(&self) -> Option<CpiStack> {
-        None
-    }
-
-    /// Detaches the windowed sampler (flushing its partial last
-    /// window), if one was attached.
-    fn take_sampler(&mut self) -> Option<CpiStackSampler> {
-        None
-    }
-}
-
-/// The zero-cost default: accounting disabled, all sites compile away.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NopAccountant;
-
-// Spelled out so lsq-lint's zero-cost-nop rule can check the contract
-// locally: every method trivial and #[inline(always)].
-impl CycleAccountant for NopAccountant {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn init(&mut self, _commit_width: u64) {}
-
-    #[inline(always)]
-    fn charge(&mut self, _component: Component, _slots: u64) {}
-
-    #[inline(always)]
-    fn end_cycle(&mut self, _cycle: u64) {}
-
-    #[inline(always)]
-    fn report(&self) -> Option<CpiStack> {
-        None
-    }
-
-    #[inline(always)]
-    fn take_sampler(&mut self) -> Option<CpiStackSampler> {
-        None
-    }
-}
-
 /// Accumulates commit slots per component, optionally sampling the
 /// cumulative counters into fixed-width windows.
 #[derive(Debug, Clone, Default)]
@@ -257,33 +182,30 @@ impl SlotAccountant {
             ..Self::default()
         }
     }
-}
 
-impl CycleAccountant for SlotAccountant {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn init(&mut self, commit_width: u64) {
+    /// Tells the accountant the machine's commit width (slots per
+    /// cycle).
+    pub fn init(&mut self, commit_width: u64) {
         self.commit_width = commit_width;
     }
 
+    /// Charges `slots` commit slots to `component`.
     #[inline]
-    fn charge(&mut self, component: Component, slots: u64) {
+    pub fn charge(&mut self, component: Component, slots: u64) {
         self.slots[component.index()] += slots;
     }
 
+    /// Marks the end of a simulated cycle (feeds the windowed sampler).
     #[inline]
-    fn end_cycle(&mut self, cycle: u64) {
+    pub fn end_cycle(&mut self, cycle: u64) {
         if let Some(s) = &mut self.sampler {
             s.observe(cycle, &self.slots);
         }
     }
 
-    fn report(&self) -> Option<CpiStack> {
-        Some(CpiStack {
+    /// The accumulated stack.
+    pub fn report(&self) -> CpiStack {
+        CpiStack {
             commit_width: self.commit_width,
             components: Component::ALL
                 .iter()
@@ -292,10 +214,12 @@ impl CycleAccountant for SlotAccountant {
                     slots: self.slots[c.index()],
                 })
                 .collect(),
-        })
+        }
     }
 
-    fn take_sampler(&mut self) -> Option<CpiStackSampler> {
+    /// Detaches the windowed sampler (flushing its partial last
+    /// window), if one was attached.
+    pub fn take_sampler(&mut self) -> Option<CpiStackSampler> {
         let mut s = self.sampler.take()?;
         s.flush();
         Some(s)
@@ -461,24 +385,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nop_accountant_is_disabled_and_reports_nothing() {
-        let mut a = NopAccountant;
-        assert!(!a.enabled());
-        a.init(8);
-        a.charge(Component::Base, 8);
-        a.end_cycle(1);
-        assert_eq!(a.report(), None);
-        assert!(a.take_sampler().is_none());
-    }
-
-    #[test]
     fn slot_accountant_accumulates_per_component() {
         let mut a = SlotAccountant::new();
         a.init(8);
         a.charge(Component::Base, 3);
         a.charge(Component::DepChain, 5);
         a.charge(Component::Base, 8);
-        let stack = a.report().expect("enabled");
+        let stack = a.report();
         assert_eq!(stack.slots("base"), 11);
         assert_eq!(stack.slots("dep_chain"), 5);
         assert_eq!(stack.total_slots(), 16);
@@ -511,12 +424,12 @@ mod tests {
         let mut a = SlotAccountant::new();
         a.init(8);
         a.charge(Component::Base, 8);
-        let mut merged = a.report().unwrap();
+        let mut merged = a.report();
         let mut b = SlotAccountant::new();
         b.init(8);
         b.charge(Component::Base, 4);
         b.charge(Component::SearchPort, 4);
-        merged.merge(&b.report().unwrap());
+        merged.merge(&b.report());
         assert_eq!(merged.slots("base"), 12);
         assert_eq!(merged.slots("search_port"), 4);
         assert_eq!(merged.total_slots(), 16);
@@ -528,10 +441,10 @@ mod tests {
         a.init(8);
         a.charge(Component::Base, 5);
         a.charge(Component::CacheMem, 3);
-        let before = a.report().unwrap();
+        let before = a.report();
         a.charge(Component::Base, 2);
         a.charge(Component::CacheMem, 6);
-        let after = a.report().unwrap();
+        let after = a.report();
         let diff = after.minus(&before);
         assert_eq!(diff.slots("base"), 2);
         assert_eq!(diff.slots("cache_mem"), 6);
@@ -545,7 +458,7 @@ mod tests {
         a.init(8);
         a.charge(Component::SegmentOverhead, 42);
         a.charge(Component::Base, 1);
-        let stack = a.report().unwrap();
+        let stack = a.report();
         let text = stack.to_json().to_string();
         let back = CpiStack::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, stack);
@@ -557,7 +470,7 @@ mod tests {
         a.init(8);
         a.charge(Component::Base, 800);
         a.charge(Component::CacheL2, 800);
-        let text = a.report().unwrap().render(800);
+        let text = a.report().render(800);
         assert!(text.contains("base"), "{text}");
         assert!(text.contains("cache_l2"), "{text}");
         // 1600 slots over 800 committed on an 8-wide machine: CPI 0.25,

@@ -24,19 +24,18 @@ pub mod accounting;
 pub mod branch;
 pub mod config;
 pub mod lifecycle;
+pub mod probe;
 pub mod profile;
 pub mod result;
 pub mod sim;
 
-pub use accounting::{
-    Component, ComponentStat, CpiStack, CycleAccountant, NopAccountant, SlotAccountant,
-};
+pub use accounting::{Component, ComponentStat, CpiStack, SlotAccountant};
 pub use branch::HybridPredictor;
 pub use config::SimConfig;
 pub use lifecycle::{
-    CriticalPath, Lifecycle, NopLifecycle, PipeviewRecorder, StageLatency, CP_COMPONENTS,
-    STAGE_BUCKETS, STAGE_NAMES,
+    CriticalPath, PipeviewRecorder, StageLatency, CP_COMPONENTS, STAGE_BUCKETS, STAGE_NAMES,
 };
-pub use profile::{NopProfiler, Phase, PhaseProfile, PhaseStat, Profiler, WallProfiler};
+pub use probe::{LsqOp, LsqSearch, NopProbe, Probe, ProbeSet, Sinks};
+pub use profile::{Phase, PhaseProfile, PhaseStat, WallProfiler};
 pub use result::SimResult;
 pub use sim::Simulator;

@@ -20,11 +20,10 @@
 //!   attributed to exactly one component (the per-instruction analogue
 //!   of the CPI stack's partition invariant).
 //!
-//! The machinery mirrors the tracer/profiler/accountant zero-cost
-//! pattern: the simulator is generic over a [`Lifecycle`], the default
-//! [`NopLifecycle`] reports `enabled() == false` as a compile-time
-//! constant, and every stamp site sits behind that check — an
-//! unrecorded simulator monomorphizes to the pre-lifecycle code.
+//! A [`PipeviewRecorder`] is the lifecycle recorder of a
+//! [`ProbeSet`](crate::probe::ProbeSet); the simulator stamps it through
+//! the probe's fetch/dispatch/issue/commit/squash hooks, which
+//! [`NopProbe`](crate::probe::NopProbe) compiles away.
 
 use lsq_obs::{Json, PipeRecord, SquashCause};
 
@@ -46,133 +45,11 @@ pub const STAGE_NAMES: [&str; 4] = [
     "lb_residency",
 ];
 
-/// A lifecycle sink for the simulator. The default methods are the
-/// no-op implementation, so [`NopLifecycle`] is just the trait's
-/// defaults; stamp sites guard on [`Lifecycle::enabled`], which must be
-/// a constant `false` for the no-op to vanish under monomorphization.
-pub trait Lifecycle {
-    /// Whether stamp sites should record at all.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Tells the recorder the maximum number of simultaneously
-    /// in-flight instructions (ROB entries plus the fetch buffer);
-    /// called once at simulator construction.
-    #[inline]
-    fn init(&mut self, max_inflight: usize) {
-        let _ = max_inflight;
-    }
-
-    /// `seq` entered the frontend at `cycle`.
-    #[inline]
-    fn fetch(&mut self, seq: u64, cycle: u64, instr: &Instruction) {
-        let _ = (seq, cycle, instr);
-    }
-
-    /// `seq` entered the ROB/queues at `cycle`, waiting on the renamed
-    /// producers in `deps`.
-    #[inline]
-    fn dispatch(&mut self, seq: u64, cycle: u64, deps: [Option<u64>; 2]) {
-        let _ = (seq, cycle, deps);
-    }
-
-    /// `seq` issued at `cycle`; its result is available at `writeback`.
-    /// For loads, `sq_extra` is the segmented SQ-search's extra latency
-    /// and `mem_level` the deepest hierarchy level reached
-    /// (0 = L1/forward, 1 = L2, 2 = memory).
-    #[inline]
-    fn issue(&mut self, seq: u64, cycle: u64, writeback: u64, sq_extra: u32, mem_level: u8) {
-        let _ = (seq, cycle, writeback, sq_extra, mem_level);
-    }
-
-    /// `seq` retired at `cycle`.
-    #[inline]
-    fn commit(&mut self, seq: u64, cycle: u64) {
-        let _ = (seq, cycle);
-    }
-
-    /// Every in-flight instruction in `victim..fetched_through` was
-    /// squashed at `cycle`; their records are terminated with `cause`.
-    /// Called before the simulator rewinds its fetch sequence, so
-    /// `fetched_through` is the pre-squash fetch frontier.
-    #[inline]
-    fn squash(&mut self, victim: u64, fetched_through: u64, cycle: u64, cause: SquashCause) {
-        let _ = (victim, fetched_through, cycle, cause);
-    }
-
-    /// The accumulated stage-latency histograms, or `None` when
-    /// disabled.
-    fn report(&self) -> Option<StageLatency> {
-        None
-    }
-
-    /// Drains the finished-record ring, oldest first; `None` when
-    /// disabled.
-    fn take_records(&mut self) -> Option<Vec<PipeRecord>> {
-        None
-    }
-
-    /// Finished records evicted because the ring was full.
-    #[inline]
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// The zero-cost default: lifecycle recording disabled, all stamp
-/// sites compile away.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NopLifecycle;
-
-// Spelled out so lsq-lint's zero-cost-nop rule can check the contract
-// locally: every method trivial and #[inline(always)].
-impl Lifecycle for NopLifecycle {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn init(&mut self, _max_inflight: usize) {}
-
-    #[inline(always)]
-    fn fetch(&mut self, _seq: u64, _cycle: u64, _instr: &Instruction) {}
-
-    #[inline(always)]
-    fn dispatch(&mut self, _seq: u64, _cycle: u64, _deps: [Option<u64>; 2]) {}
-
-    #[inline(always)]
-    fn issue(&mut self, _seq: u64, _cycle: u64, _writeback: u64, _sq_extra: u32, _mem_level: u8) {}
-
-    #[inline(always)]
-    fn commit(&mut self, _seq: u64, _cycle: u64) {}
-
-    #[inline(always)]
-    fn squash(&mut self, _victim: u64, _fetched_through: u64, _cycle: u64, _cause: SquashCause) {}
-
-    #[inline(always)]
-    fn report(&self) -> Option<StageLatency> {
-        None
-    }
-
-    #[inline(always)]
-    fn take_records(&mut self) -> Option<Vec<PipeRecord>> {
-        None
-    }
-
-    #[inline(always)]
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
 /// Records every instruction's lifetime into a bounded ring.
 ///
 /// Live (in-flight) records sit in a direct-mapped array indexed by
 /// `seq % capacity` — collision-free because the simulator bounds the
-/// in-flight seq window by [`Lifecycle::init`]'s argument. Finished
+/// in-flight seq window by [`PipeviewRecorder::init`]'s argument. Finished
 /// records (committed or squashed) move to a ring of
 /// `LSQ_PIPEVIEW_CAP` entries; when it fills, the oldest record is
 /// evicted and counted in [`PipeviewRecorder::dropped`]
@@ -195,8 +72,8 @@ pub struct PipeviewRecorder {
 
 impl PipeviewRecorder {
     /// Creates a recorder whose finished-record ring holds `capacity`
-    /// records (oldest evicted first). The live array is sized by the
-    /// simulator through [`Lifecycle::init`].
+    /// records (oldest evicted first). The live array is sized by
+    /// [`PipeviewRecorder::init`].
     ///
     /// # Panics
     ///
@@ -236,21 +113,17 @@ impl PipeviewRecorder {
             self.dropped += 1;
         }
     }
-}
 
-impl Lifecycle for PipeviewRecorder {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn init(&mut self, max_inflight: usize) {
+    /// Sizes the live array for the maximum number of simultaneously
+    /// in-flight instructions (ROB entries plus the fetch buffer).
+    pub fn init(&mut self, max_inflight: usize) {
         self.live = vec![PipeRecord::vacant(); max_inflight.max(1)];
     }
 
+    /// `seq` entered the frontend at `cycle`.
     // lsq-lint: hot
     #[inline]
-    fn fetch(&mut self, seq: u64, cycle: u64, instr: &Instruction) {
+    pub fn fetch(&mut self, seq: u64, cycle: u64, instr: &Instruction) {
         let slot = self.slot(seq);
         debug_assert!(
             !slot.is_occupied(),
@@ -267,18 +140,24 @@ impl Lifecycle for PipeviewRecorder {
         };
     }
 
+    /// `seq` entered the ROB/queues at `cycle`, waiting on the renamed
+    /// producers in `deps`.
     // lsq-lint: hot
     #[inline]
-    fn dispatch(&mut self, seq: u64, cycle: u64, deps: [Option<u64>; 2]) {
+    pub fn dispatch(&mut self, seq: u64, cycle: u64, deps: [Option<u64>; 2]) {
         let slot = self.slot(seq);
         debug_assert_eq!(slot.seq, seq, "dispatch stamp on an unfetched seq");
         slot.dispatch = Some(cycle);
         slot.deps = deps;
     }
 
+    /// `seq` issued at `cycle`; its result is available at `writeback`.
+    /// For loads, `sq_extra` is the segmented SQ-search's extra latency
+    /// and `mem_level` the deepest hierarchy level reached
+    /// (0 = L1/forward, 1 = L2, 2 = memory).
     // lsq-lint: hot
     #[inline]
-    fn issue(&mut self, seq: u64, cycle: u64, writeback: u64, sq_extra: u32, mem_level: u8) {
+    pub fn issue(&mut self, seq: u64, cycle: u64, writeback: u64, sq_extra: u32, mem_level: u8) {
         let slot = self.slot(seq);
         debug_assert_eq!(slot.seq, seq, "issue stamp on an unfetched seq");
         slot.issue = Some(cycle);
@@ -287,9 +166,10 @@ impl Lifecycle for PipeviewRecorder {
         slot.mem_level = mem_level;
     }
 
+    /// `seq` retired at `cycle`.
     // lsq-lint: hot
     #[inline]
-    fn commit(&mut self, seq: u64, cycle: u64) {
+    pub fn commit(&mut self, seq: u64, cycle: u64) {
         let slot = self.slot(seq);
         debug_assert_eq!(slot.seq, seq, "commit stamp on an unfetched seq");
         slot.commit = Some(cycle);
@@ -298,8 +178,11 @@ impl Lifecycle for PipeviewRecorder {
         self.finalize(seq);
     }
 
+    /// Every in-flight instruction in `victim..fetched_through` was
+    /// squashed at `cycle`; their records are terminated with `cause`.
+    /// `fetched_through` is the pre-squash fetch frontier.
     // lsq-lint: hot
-    fn squash(&mut self, victim: u64, fetched_through: u64, cycle: u64, cause: SquashCause) {
+    pub fn squash(&mut self, victim: u64, fetched_through: u64, cycle: u64, cause: SquashCause) {
         // The in-flight window is bounded by the live array, so this
         // loop is O(live.len()) worst case.
         for seq in victim..fetched_through {
@@ -312,21 +195,24 @@ impl Lifecycle for PipeviewRecorder {
         }
     }
 
-    fn report(&self) -> Option<StageLatency> {
-        Some(self.stages.clone())
+    /// The accumulated stage-latency histograms.
+    pub fn report(&self) -> StageLatency {
+        self.stages.clone()
     }
 
-    fn take_records(&mut self) -> Option<Vec<PipeRecord>> {
+    /// Drains the finished-record ring, oldest first.
+    pub fn take_records(&mut self) -> Vec<PipeRecord> {
         let mut v = std::mem::take(&mut self.done);
         if v.len() == self.cap {
             v.rotate_left(self.done_start);
         }
         self.done_start = 0;
         self.done.reserve(self.cap);
-        Some(v)
+        v
     }
 
-    fn dropped(&self) -> u64 {
+    /// Finished records evicted because the ring was full.
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -660,28 +546,13 @@ mod tests {
     }
 
     #[test]
-    fn nop_lifecycle_is_disabled_and_reports_nothing() {
-        let mut l = NopLifecycle;
-        assert!(!l.enabled());
-        l.init(64);
-        l.fetch(0, 1, &instr(InstrKind::IntAlu, 0x400, 0));
-        l.dispatch(0, 2, [None, None]);
-        l.issue(0, 3, 4, 0, 0);
-        l.commit(0, 5);
-        l.squash(0, 1, 6, SquashCause::MemOrder);
-        assert_eq!(l.report(), None);
-        assert_eq!(l.take_records(), None);
-        assert_eq!(l.dropped(), 0);
-    }
-
-    #[test]
     fn recorder_captures_a_full_lifecycle() {
         let mut r = recorder();
         r.fetch(0, 10, &instr(InstrKind::Load, 0x400, 0x1000));
         r.dispatch(0, 11, [None, Some(7)]);
         r.issue(0, 14, 20, 2, 1);
         r.commit(0, 25);
-        let recs = r.take_records().expect("enabled");
+        let recs = r.take_records();
         assert_eq!(recs.len(), 1);
         let rec = recs[0];
         assert_eq!(rec.seq, 0);
@@ -695,7 +566,7 @@ mod tests {
         assert_eq!(rec.sq_extra, 2);
         assert_eq!(rec.mem_level, 1);
         // Stage histograms observed the load.
-        let stages = r.report().expect("enabled");
+        let stages = r.report();
         assert_eq!(stages.dispatch_to_issue.count(), 1);
         assert_eq!(stages.dispatch_to_issue.bucket(3), 1);
         assert_eq!(stages.issue_to_mem.bucket(6), 1);
@@ -711,20 +582,20 @@ mod tests {
         r.fetch(4, 5, &instr(InstrKind::IntAlu, 0x410, 0));
         // Seq 5 was never fetched; the squash range skips the hole.
         r.squash(3, 6, 9, SquashCause::CommitMemOrder);
-        let recs = r.take_records().expect("enabled");
+        let recs = r.take_records();
         assert_eq!(recs.len(), 2);
         for rec in &recs {
             assert_eq!(rec.squash, Some((9, SquashCause::CommitMemOrder)));
             assert_eq!(rec.commit, None);
         }
         // Squashed records never feed the stage histograms.
-        assert_eq!(r.report().expect("enabled").count(), 0);
+        assert_eq!(r.report().count(), 0);
         // The seqs are free for reuse after refetch.
         r.fetch(3, 12, &instr(InstrKind::Load, 0x40c, 0x2000));
         r.dispatch(3, 13, [None, None]);
         r.issue(3, 14, 16, 0, 0);
         r.commit(3, 17);
-        let recs = r.take_records().expect("enabled");
+        let recs = r.take_records();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].commit, Some(17));
     }
@@ -740,13 +611,13 @@ mod tests {
             r.commit(seq, seq + 4);
         }
         assert_eq!(r.dropped(), 3);
-        let recs = r.take_records().expect("enabled");
+        let recs = r.take_records();
         let seqs: Vec<u64> = recs.iter().map(|x| x.seq).collect();
         assert_eq!(seqs, vec![3, 4], "oldest evicted, order preserved");
         // Histograms still saw all five commits.
-        assert_eq!(r.report().expect("enabled").dispatch_to_issue.count(), 5);
+        assert_eq!(r.report().dispatch_to_issue.count(), 5);
         // Draining resets the ring but not the drop counter.
-        assert_eq!(r.take_records().expect("enabled").len(), 0);
+        assert_eq!(r.take_records().len(), 0);
         assert_eq!(r.dropped(), 3);
     }
 

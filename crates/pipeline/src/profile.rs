@@ -1,13 +1,12 @@
 //! The simulator self-profiler: scoped wall-time phase timers.
 //!
-//! Mirrors the tracer's zero-cost pattern ([`lsq_obs::NopTracer`]): the
-//! simulator is generic over a [`Profiler`], the default [`NopProfiler`]
-//! reports `enabled() == false` as a compile-time constant, and every
-//! timing site sits behind that check — an unprofiled simulator
-//! monomorphizes to the untimed code, taking no `Instant::now()` calls
-//! on the hot path. `tests/telemetry_profile.rs` pins counter equality
-//! between profiled and unprofiled runs; the interleaved A/B geomean in
-//! EXPERIMENTS.md pins throughput.
+//! A [`WallProfiler`] is the phase timer of a
+//! [`ProbeSet`](crate::probe::ProbeSet). Timing sites ask the probe
+//! whether it times at all, and [`NopProbe`](crate::probe::NopProbe)
+//! answers a constant `false`, so an unprofiled simulator takes no
+//! `Instant::now()` calls on the hot path. `tests/telemetry_profile.rs`
+//! pins counter equality between profiled and unprofiled runs; the
+//! interleaved A/B geomean in EXPERIMENTS.md pins throughput.
 //!
 //! Phase semantics are *inclusive*: [`Phase::LsqSearch`] time (the
 //! issue-side SQ/LQ/LB searches) is also inside [`Phase::WakeupIssue`],
@@ -72,50 +71,6 @@ impl Phase {
     }
 }
 
-/// A profiling sink for the simulator. The default methods are the
-/// no-op implementation, so [`NopProfiler`] is just the trait's
-/// defaults; timing sites guard on [`Profiler::enabled`], which must be
-/// a constant `false` for the no-op to vanish under monomorphization.
-pub trait Profiler {
-    /// Whether timing sites should take timestamps at all.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Adds one timed invocation of `phase`.
-    #[inline]
-    fn record(&mut self, phase: Phase, nanos: u64) {
-        let _ = (phase, nanos);
-    }
-
-    /// The accumulated per-phase report, or `None` when disabled.
-    fn report(&self) -> Option<PhaseProfile> {
-        None
-    }
-}
-
-/// The zero-cost default: profiling disabled, all sites compile away.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NopProfiler;
-
-// Spelled out so lsq-lint's zero-cost-nop rule can check the contract
-// locally: every method trivial and #[inline(always)].
-impl Profiler for NopProfiler {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn record(&mut self, _phase: Phase, _nanos: u64) {}
-
-    #[inline(always)]
-    fn report(&self) -> Option<PhaseProfile> {
-        None
-    }
-}
-
 /// Accumulates wall time and invocation counts per phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WallProfiler {
@@ -128,23 +83,18 @@ impl WallProfiler {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Profiler for WallProfiler {
+    /// Adds one timed invocation of `phase`.
     #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn record(&mut self, phase: Phase, nanos: u64) {
+    pub fn record(&mut self, phase: Phase, nanos: u64) {
         let i = phase.index();
         self.nanos[i] += nanos;
         self.calls[i] += 1;
     }
 
-    fn report(&self) -> Option<PhaseProfile> {
-        Some(PhaseProfile {
+    /// The accumulated per-phase report.
+    pub fn report(&self) -> PhaseProfile {
+        PhaseProfile {
             phases: Phase::ALL
                 .iter()
                 .map(|&p| PhaseStat {
@@ -153,7 +103,7 @@ impl Profiler for WallProfiler {
                     nanos: self.nanos[p.index()],
                 })
                 .collect(),
-        })
+        }
     }
 }
 
@@ -257,20 +207,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nop_profiler_is_disabled_and_reports_nothing() {
-        let mut p = NopProfiler;
-        assert!(!p.enabled());
-        p.record(Phase::Fetch, 123);
-        assert_eq!(p.report(), None);
-    }
-
-    #[test]
     fn wall_profiler_accumulates_per_phase() {
         let mut p = WallProfiler::new();
         p.record(Phase::Fetch, 10);
         p.record(Phase::Fetch, 5);
         p.record(Phase::Commit, 7);
-        let report = p.report().expect("enabled");
+        let report = p.report();
         let fetch = report.phases.iter().find(|s| s.phase == "fetch").unwrap();
         assert_eq!((fetch.calls, fetch.nanos), (2, 15));
         let commit = report.phases.iter().find(|s| s.phase == "commit").unwrap();
@@ -286,18 +228,18 @@ mod tests {
         p.record(Phase::LsqSearch, 60); // inside WakeupIssue
         p.record(Phase::Commit, 40);
         p.record(Phase::Squash, 10); // inside Commit
-        assert_eq!(p.report().unwrap().total_nanos(), 140);
+        assert_eq!(p.report().total_nanos(), 140);
     }
 
     #[test]
     fn merge_matches_by_name() {
         let mut p = WallProfiler::new();
         p.record(Phase::Fetch, 10);
-        let mut a = p.report().unwrap();
+        let mut a = p.report();
         let mut q = WallProfiler::new();
         q.record(Phase::Fetch, 5);
         q.record(Phase::Dispatch, 3);
-        a.merge(&q.report().unwrap());
+        a.merge(&q.report());
         let fetch = a.phases.iter().find(|s| s.phase == "fetch").unwrap();
         assert_eq!((fetch.calls, fetch.nanos), (2, 15));
         let dispatch = a.phases.iter().find(|s| s.phase == "dispatch").unwrap();
@@ -309,7 +251,7 @@ mod tests {
         let mut p = WallProfiler::new();
         p.record(Phase::LsqSearch, 42);
         p.record(Phase::Squash, 1);
-        let report = p.report().unwrap();
+        let report = p.report();
         let text = report.to_json().to_string();
         let back = PhaseProfile::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, report);
@@ -320,7 +262,7 @@ mod tests {
         let mut p = WallProfiler::new();
         p.record(Phase::WakeupIssue, 2_000_000);
         p.record(Phase::LsqSearch, 1_000_000);
-        let text = p.report().unwrap().render();
+        let text = p.report().render();
         assert!(text.contains("wakeup_issue"), "{text}");
         assert!(text.contains("  lsq_search"), "{text}");
     }

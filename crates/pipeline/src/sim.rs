@@ -21,16 +21,16 @@
 //! simplification); store-to-load forwarding and violation detection use
 //! only hardware-visible state inside [`Lsq`].
 
-use crate::accounting::{Component, CycleAccountant, NopAccountant};
+use crate::accounting::Component;
 use crate::branch::HybridPredictor;
 use crate::config::SimConfig;
-use crate::lifecycle::{Lifecycle, NopLifecycle};
-use crate::profile::{NopProfiler, Phase, Profiler};
+use crate::probe::{LsqOp, LsqSearch, NopProbe, Probe};
+use crate::profile::Phase;
 use crate::result::SimResult;
 use lsq_core::{LoadIssue, Lsq, StoreDrain, StoreIssue};
-use lsq_isa::{Addr, InstrKind, Instruction, InstructionStream};
-use lsq_mem::MemoryHierarchy;
-use lsq_obs::{CpiStackSampler, Event, NopTracer, SampleInput, Sampler, SquashCause, Tracer};
+use lsq_isa::{Addr, InstrKind, Instruction, InstructionStream, Pc};
+use lsq_mem::{Access, MemoryHierarchy};
+use lsq_obs::{MissLevel, SampleInput, SquashCause};
 use lsq_stats::RunningMean;
 use lsq_util::rng::Xoshiro256;
 use lsq_util::{FastHashMap, RingQueue};
@@ -63,11 +63,11 @@ struct DynInst {
     ready_at: u64,
     /// Cycle accounting: deepest hierarchy level this load's access
     /// reached (0 = L1/forwarded, 1 = L2, 2 = memory). Only written
-    /// when an accountant is attached.
+    /// when the probe is enabled.
     mem_level: u8,
     /// Cycle accounting: extra cycles charged by a variable-latency
-    /// segmented forwarding search. Only written when an accountant is
-    /// attached.
+    /// segmented forwarding search. Only written when the probe is
+    /// enabled.
     seg_extra: u32,
 }
 
@@ -96,47 +96,18 @@ struct Fetched {
 
 /// The out-of-order core.
 ///
-/// The `T` parameter is the trace sink; the default [`NopTracer`]
-/// monomorphizes every emission site away, so untraced simulators
-/// compile to the pre-tracing code. A cloneable tracer (e.g.
-/// [`lsq_obs::SharedTracer`]) is shared with the LSQ and the memory
-/// hierarchy so all events land in one buffer in emission order.
-///
-/// The `P` parameter is the self-profiler, following the same pattern:
-/// the default [`NopProfiler`] makes every phase-timing site vanish
-/// under monomorphization, while
-/// [`WallProfiler`](crate::profile::WallProfiler) accumulates per-phase
-/// wall time and invocation counts (see [`crate::profile`]).
-///
-/// The `A` parameter is the cycle accountant, following the same
-/// pattern again: the default [`NopAccountant`] makes every
-/// attribution site vanish under monomorphization, while
-/// [`SlotAccountant`](crate::accounting::SlotAccountant) classifies
-/// every commit slot of every cycle into a CPI-stack component (see
-/// [`crate::accounting`]).
-///
-/// The `L` parameter is the instruction-lifecycle recorder, the fourth
-/// instance of the pattern: the default [`NopLifecycle`] makes every
-/// stamp site vanish under monomorphization, while
-/// [`PipeviewRecorder`](crate::lifecycle::PipeviewRecorder) captures
-/// each in-flight instruction's fetch/dispatch/issue/writeback/commit
-/// (or squash) cycles for pipeline-viewer logs, stage-latency
-/// histograms, and critical-path analysis (see [`crate::lifecycle`]).
+/// The `P` parameter is the observer: every pipeline moment is reported
+/// to one [`Probe`] (see [`crate::probe`]). The default [`NopProbe`]
+/// makes every hook site vanish under monomorphization, so an
+/// unobserved simulator compiles to the unobserved code;
+/// [`ProbeSet`](crate::probe::ProbeSet) carries the event ring, sampler,
+/// phase timer, cycle accountant, and lifecycle recorder.
 #[derive(Debug)]
-pub struct Simulator<
-    T: Tracer = NopTracer,
-    P: Profiler = NopProfiler,
-    A: CycleAccountant = NopAccountant,
-    L: Lifecycle = NopLifecycle,
-> {
+pub struct Simulator<P: Probe = NopProbe> {
     cfg: SimConfig,
-    lsq: Lsq<T>,
-    mem: MemoryHierarchy<T>,
-    tracer: T,
-    profiler: P,
-    acct: A,
-    life: L,
-    sampler: Option<Sampler>,
+    lsq: Lsq,
+    mem: MemoryHierarchy,
+    probe: P,
     bp: HybridPredictor,
     rob: RingQueue<DynInst>,
     /// Issue-queue occupancy, maintained by both scheduler modes and
@@ -187,7 +158,7 @@ pub struct Simulator<
     /// Deterministic source for coherence-invalidation injection.
     coherence_rng: Xoshiro256,
 
-    // Cycle-accounting scratch, written only when `acct` is enabled.
+    // Cycle-accounting scratch, written only when the probe is enabled.
     /// Committed count at the end of the previous accounted cycle.
     acct_prev_committed: u64,
     /// Resource stall recorded for the ROB head at issue this cycle
@@ -213,85 +184,32 @@ pub struct Simulator<
     inflight_loads: RunningMean,
 }
 
-impl Simulator<NopTracer> {
-    /// Builds an untraced simulator for the given configuration.
+impl Simulator {
+    /// Builds an unobserved simulator for the given configuration.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`].
     pub fn new(cfg: SimConfig) -> Self {
-        Self::with_tracer(cfg, NopTracer)
+        Self::with_probe(cfg, NopProbe)
     }
 }
 
-impl<T: Tracer + Clone> Simulator<T> {
-    /// Builds a simulator emitting events to `tracer`; the LSQ and the
-    /// memory hierarchy get clones so all layers share one sink.
+impl<P: Probe> Simulator<P> {
+    /// Builds a simulator reporting to `probe`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`].
-    pub fn with_tracer(cfg: SimConfig, tracer: T) -> Self {
-        Self::with_parts(cfg, tracer, NopProfiler)
-    }
-}
-
-impl<T: Tracer + Clone, P: Profiler> Simulator<T, P> {
-    /// Builds a simulator with a trace sink and a self-profiler but no
-    /// cycle accountant (the constructor behind [`Simulator::new`] and
-    /// [`Simulator::with_tracer`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SimConfig::validate`].
-    pub fn with_parts(cfg: SimConfig, tracer: T, profiler: P) -> Self {
-        Self::with_all(cfg, tracer, profiler, NopAccountant)
-    }
-}
-
-impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant> Simulator<T, P, A> {
-    /// Builds a simulator with a trace sink, a self-profiler, and a
-    /// cycle accountant but no lifecycle recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SimConfig::validate`].
-    pub fn with_all(cfg: SimConfig, tracer: T, profiler: P, acct: A) -> Self {
-        Self::with_lifecycle(cfg, tracer, profiler, acct, NopLifecycle)
-    }
-}
-
-impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator<T, P, A, L> {
-    /// Builds a simulator with a trace sink, a self-profiler, a cycle
-    /// accountant, and an instruction-lifecycle recorder — the fully
-    /// general constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SimConfig::validate`].
-    pub fn with_lifecycle(
-        cfg: SimConfig,
-        tracer: T,
-        profiler: P,
-        mut acct: A,
-        mut life: L,
-    ) -> Self {
+    pub fn with_probe(cfg: SimConfig, mut probe: P) -> Self {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "constructor's documented # Panics contract: cfg must validate")
         cfg.validate().expect("valid simulator configuration");
-        acct.init(cfg.commit_width as u64);
-        // The in-flight seq window is bounded by the ROB plus the fetch
-        // buffer (2 × fetch width); the recorder sizes its live array
-        // from this so direct mapping by seq is collision-free.
-        life.init(cfg.rob_entries + 2 * cfg.fetch_width + 1);
+        probe.init(&cfg);
         Self {
             // lsq-lint: allow(no-unwrap-in-lib, reason = "cfg.validate() succeeded on the previous line")
-            lsq: Lsq::with_tracer(cfg.lsq, tracer.clone()).expect("validated above"),
-            mem: MemoryHierarchy::with_tracer(cfg.hierarchy, tracer.clone()),
-            tracer,
-            profiler,
-            acct,
-            life,
-            sampler: None,
+            lsq: Lsq::new(cfg.lsq).expect("validated above"),
+            mem: MemoryHierarchy::new(cfg.hierarchy),
+            probe,
             bp: HybridPredictor::new(),
             rob: RingQueue::new(cfg.rob_entries),
             iq_len: 0,
@@ -352,24 +270,14 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         self.polling_iq = Some(Vec::with_capacity(self.cfg.iq_entries));
     }
 
-    /// Attaches a windowed sampler; it observes every subsequent cycle.
-    /// Attach after warm-up so the timeline covers the measured window
-    /// only, or before it to make warm-up behaviour visible.
-    pub fn set_sampler(&mut self, sampler: Sampler) {
-        self.sampler = Some(sampler);
+    /// The probe, mutably (e.g. to drain a recorder mid-run).
+    pub fn probe_mut(&mut self) -> &mut P {
+        &mut self.probe
     }
 
-    /// Detaches the sampler, flushing its partial last window.
-    pub fn take_sampler(&mut self) -> Option<Sampler> {
-        let mut s = self.sampler.take()?;
-        s.flush();
-        Some(s)
-    }
-
-    /// Detaches the cycle accountant's windowed CPI-stack sampler (if
-    /// one was attached), flushing its partial last window.
-    pub fn take_cpi_sampler(&mut self) -> Option<CpiStackSampler> {
-        self.acct.take_sampler()
+    /// Consumes the simulator, returning its probe.
+    pub fn into_probe(self) -> P {
+        self.probe
     }
 
     /// Pre-warms the cache hierarchy with the workload's data and code
@@ -410,18 +318,17 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         self.result(hit_cap)
     }
 
-    /// Runs `f` under the profiler's clock for `phase`. With profiling
-    /// disabled ([`NopProfiler`]) the `enabled()` check is a constant
-    /// and this compiles down to a plain call — no timestamps taken.
+    /// Runs `f` under the probe's clock for `phase`. Without a timer
+    /// ([`NopProbe`]) the `timing()` check is a constant and this
+    /// compiles down to a plain call — no timestamps taken.
     #[inline]
     fn timed<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
-        if !self.profiler.enabled() {
+        if !self.probe.timing() {
             return f(self);
         }
         let start = std::time::Instant::now();
         let r = f(self);
-        self.profiler
-            .record(phase, start.elapsed().as_nanos() as u64);
+        self.probe.phase(phase, start.elapsed().as_nanos() as u64);
         r
     }
 
@@ -429,9 +336,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     // lsq-lint: hot
     fn step<S: InstructionStream>(&mut self, stream: &mut S) {
         self.cycle += 1;
-        // One clock for all sinks: the tracer clones in the LSQ and the
-        // hierarchy share the buffer this updates.
-        self.tracer.set_cycle(self.cycle);
+        self.probe.cycle_begin(self.cycle);
         self.dcache_used = 0;
         self.timed(Phase::SegmentAdvance, |s| s.lsq.begin_cycle());
         self.inject_invalidations();
@@ -445,8 +350,17 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         self.timed(Phase::Dispatch, |s| s.dispatch());
         self.timed(Phase::Fetch, |s| s.fetch(stream));
         self.sample();
-        if self.acct.enabled() {
+        if self.probe.enabled() {
             self.account_cycle();
+            let stats = self.lsq.stats();
+            self.probe.cycle_end(&SampleInput {
+                committed: self.committed,
+                lq_occupancy: self.lsq.lq_occupancy(),
+                sq_occupancy: self.lsq.sq_occupancy(),
+                sq_searches: stats.sq_searches,
+                lq_searches: stats.lq_searches(),
+                inflight_loads: self.lsq.lq_occupancy(),
+            });
         }
     }
 
@@ -454,11 +368,11 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     // Cycle accounting
     // ------------------------------------------------------------------
 
-    /// Classifies every commit slot of the cycle that just ended:
-    /// slots that retired an instruction are charged to
-    /// [`Component::Base`], the remaining slots to exactly one stall
-    /// component picked from the state of the ROB head (commit runs
-    /// first in [`Self::step`], so the head observed here is the one
+    /// Classifies the unused commit slots of the cycle that just ended
+    /// (slots that retired an instruction were charged to
+    /// [`Component::Base`] by the commit hook): they all go to exactly
+    /// one stall component picked from the state of the ROB head (commit
+    /// runs first in [`Self::step`], so the head observed here is the one
     /// commit failed to retire this cycle — the stall records taken by
     /// issue and dispatch later in the same cycle refer to it).
     // lsq-lint: hot
@@ -472,15 +386,11 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         let drain_blocked = std::mem::take(&mut self.acct_drain_blocked);
         let width = self.cfg.commit_width as u64;
         debug_assert!(n <= width, "committed more than commit_width in one cycle");
-        if n > 0 {
-            self.acct.charge(Component::Base, n);
-        }
         let stall = width - n;
         if stall > 0 {
             let c = self.classify_stall(head_stall, dispatch_stall, drain_blocked);
-            self.acct.charge(c, stall);
+            self.probe.stall(c, stall);
         }
-        self.acct.end_cycle(self.cycle);
     }
 
     /// Picks the single stall component for this cycle's unused commit
@@ -557,7 +467,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     /// defines the cycle under head-based attribution).
     #[inline]
     fn record_head_stall(&mut self, seq: u64, c: Component) {
-        if self.acct.enabled() && self.rob.head_seq() == Some(seq) {
+        if self.probe.enabled() && self.rob.head_seq() == Some(seq) {
             self.acct_head_stall = Some((seq, c));
         }
     }
@@ -568,20 +478,6 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         self.ooo_loads
             .record(self.lsq.out_of_order_issued_loads() as f64);
         self.inflight_loads.record(self.lsq.lq_occupancy() as f64);
-        if let Some(sampler) = &mut self.sampler {
-            let stats = self.lsq.stats();
-            sampler.observe(
-                self.cycle,
-                SampleInput {
-                    committed: self.committed,
-                    lq_occupancy: self.lsq.lq_occupancy(),
-                    sq_occupancy: self.lsq.sq_occupancy(),
-                    sq_searches: stats.sq_searches,
-                    lq_searches: stats.lq_searches(),
-                    inflight_loads: self.lsq.lq_occupancy(),
-                },
-            );
-        }
     }
 
     /// Injects external coherence invalidations (§2.2 scheme 2): with the
@@ -624,12 +520,14 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             match self.lsq.drain_store() {
                 StoreDrain::Idle | StoreDrain::Blocked => break,
                 StoreDrain::Drained {
-                    seq: _,
+                    seq,
                     addr,
+                    pc,
                     violation,
                 } => {
                     self.dcache_used += 1;
-                    self.mem.data_access(addr, true);
+                    self.probe_store_search(LsqOp::Drain, seq, pc, addr, violation);
+                    self.access(addr, true, false);
                     if let Some(victim) = violation {
                         let penalty = self.cfg.mispredict_penalty + self.cfg.pair_recovery_extra;
                         self.squash(victim, penalty, SquashCause::CommitMemOrder);
@@ -664,7 +562,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                     // store: the drain's violation search must still see
                     // it in the load queue.
                     if self.lsq.has_undrained_store_before(seq) {
-                        if self.acct.enabled() {
+                        if self.probe.enabled() {
                             self.acct_drain_blocked = true;
                         }
                         break;
@@ -681,9 +579,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the commit loop established this head; popping it cannot fail")
         let (s, e) = self.rob.pop().expect("retiring head");
         debug_assert_eq!(s, seq);
-        if self.life.enabled() {
-            self.life.commit(seq, self.cycle);
-        }
+        self.probe.commit(seq);
         if e.wakeup_extra > 0 {
             self.relax_late_wakeups(seq);
         }
@@ -766,29 +662,33 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                             // issuing, older load proceeds).
                             *squash_request = Some((victim, SquashCause::LoadLoad));
                         }
-                        let lat = if li.forwarded_from.is_some() {
+                        if self.probe.enabled() {
+                            self.probe.lsq_search(&LsqSearch {
+                                op: LsqOp::Load,
+                                seq,
+                                pc: e.instr.pc,
+                                addr: e.instr.addr,
+                                sq_path: li.searched_sq.then(|| self.lsq.sq_search_path()),
+                                lq_path: li.searched_lq.then(|| self.lsq.lq_search_path()),
+                                lb: li.searched_lb,
+                                forwarded_from: li.forwarded_from,
+                                useless: li.useless_search,
+                                violation: None,
+                            });
+                        }
+                        let (lat, miss) = if li.forwarded_from.is_some() {
                             // Forwarded data arrives with hit latency.
-                            self.cfg.hierarchy.l1d_hit_latency()
+                            (self.cfg.hierarchy.l1d_hit_latency(), None)
                         } else {
-                            self.mem.data_access(e.instr.addr, false)
+                            let a = self.access(e.instr.addr, false, false);
+                            (a.latency, a.miss)
                         };
-                        // Cycle accounting / lifecycle: infer the deepest
-                        // level the access reached from its additive latency.
-                        let mem_level = if self.acct.enabled() || self.life.enabled() {
-                            let h = &self.cfg.hierarchy;
-                            if li.forwarded_from.is_some() {
-                                0
-                            } else if lat >= h.l1d.hit_latency + h.l2.hit_latency + h.mem_latency {
-                                2
-                            } else if lat >= h.l1d.hit_latency + h.l2.hit_latency {
-                                1
-                            } else {
-                                0
-                            }
-                        } else {
-                            0
+                        let mem_level = match miss {
+                            None => 0,
+                            Some(MissLevel::L2) => 1,
+                            Some(MissLevel::Memory) => 2,
                         };
-                        let acct_enabled = self.acct.enabled();
+                        let probed = self.probe.enabled();
                         let complete_at = self.cycle + u64::from(lat) + u64::from(li.extra_cycles);
                         // lsq-lint: allow(no-unwrap-in-lib, reason = "completion events reference only in-flight seqs resident in the ROB")
                         let entry = self.rob.get_mut(seq).expect("resident");
@@ -799,25 +699,18 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                         } else {
                             self.cfg.late_wakeup_penalty
                         };
-                        if acct_enabled {
+                        if probed {
                             entry.mem_level = mem_level;
                             entry.seg_extra = li.extra_cycles;
                         }
                         self.dcache_used += 1;
                         *unit_left -= 1;
-                        if self.life.enabled() {
-                            self.life.issue(
-                                seq,
-                                self.cycle,
-                                complete_at,
-                                li.extra_cycles,
-                                mem_level,
-                            );
-                        }
+                        self.probe
+                            .issue(seq, complete_at, li.extra_cycles, mem_level);
                         true
                     }
                     stall => {
-                        if self.acct.enabled() {
+                        if self.probe.enabled() {
                             let c = match stall {
                                 LoadIssue::NoSqPort | LoadIssue::NoLqPort => Component::SearchPort,
                                 _ => Component::MemOrdering,
@@ -830,14 +723,13 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             }
             InstrKind::Store => match self.timed(Phase::LsqSearch, |s| s.lsq.store_issue(seq)) {
                 StoreIssue::Issued { violation } => {
+                    self.probe_store_search(LsqOp::Store, seq, e.instr.pc, e.instr.addr, violation);
                     // lsq-lint: allow(no-unwrap-in-lib, reason = "completion events reference only in-flight seqs resident in the ROB")
                     let entry = self.rob.get_mut(seq).expect("resident");
                     entry.state = State::Issued;
                     entry.complete_at = self.cycle + 1;
                     *unit_left -= 1;
-                    if self.life.enabled() {
-                        self.life.issue(seq, self.cycle, self.cycle + 1, 0, 0);
-                    }
+                    self.probe.issue(seq, self.cycle + 1, 0, 0);
                     if let Some(victim) = violation {
                         *squash_request = Some((victim, SquashCause::MemOrder));
                     }
@@ -855,16 +747,14 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                 entry.complete_at = self.cycle + u64::from(kind.exec_latency());
                 let complete_at = entry.complete_at;
                 *unit_left -= 1;
-                if self.life.enabled() {
-                    self.life.issue(seq, self.cycle, complete_at, 0, 0);
-                }
+                self.probe.issue(seq, complete_at, 0, 0);
                 if kind.is_branch() && self.pending_redirect == Some(seq) {
                     // The mispredicted branch resolves: redirect fetch
                     // after the Table 1 penalty.
                     self.pending_redirect = None;
                     self.fetch_resume_at = complete_at + self.cfg.mispredict_penalty;
                     self.cur_fetch_block = None;
-                    if self.acct.enabled() {
+                    if self.probe.enabled() {
                         self.acct_fetch_stall = FetchStall::Mispredict;
                     }
                 }
@@ -1090,26 +980,26 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                 break;
             }
             if self.rob.is_full() {
-                if self.acct.enabled() {
+                if self.probe.enabled() {
                     self.acct_dispatch_stall = Some(Component::RobFull);
                 }
                 break;
             }
             if self.iq_len >= self.cfg.iq_entries {
-                if self.acct.enabled() {
+                if self.probe.enabled() {
                     self.acct_dispatch_stall = Some(Component::IqFull);
                 }
                 break;
             }
             match f.instr.kind {
                 InstrKind::Load if !self.lsq.can_dispatch_load() => {
-                    if self.acct.enabled() {
+                    if self.probe.enabled() {
                         self.acct_dispatch_stall = Some(Component::LqFull);
                     }
                     break;
                 }
                 InstrKind::Store if !self.lsq.can_dispatch_store() => {
-                    if self.acct.enabled() {
+                    if self.probe.enabled() {
                         self.acct_dispatch_stall = Some(Component::SqFull);
                     }
                     break;
@@ -1139,14 +1029,12 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                 // lsq-lint: allow(no-unwrap-in-lib, reason = "guarded by the fullness check above")
                 .expect("checked not full");
             debug_assert_eq!(seq, f.gseq);
-            if self.life.enabled() {
-                self.life.dispatch(seq, self.cycle, deps);
-            }
             match f.instr.kind {
                 InstrKind::Load => self.lsq.dispatch_load(seq, f.instr.pc, f.instr.addr),
                 InstrKind::Store => self.lsq.dispatch_store(seq, f.instr.pc, f.instr.addr),
                 _ => {}
             }
+            self.probe.dispatch(seq, &f.instr, deps);
             if let Some(dst) = f.instr.dst {
                 self.rename[dst.flat_index()] = Some(seq);
             }
@@ -1195,12 +1083,12 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             // fetch for the extra latency.
             let block = instr.pc.0 / i_block;
             if self.cur_fetch_block != Some(block) {
-                let lat = self.mem.inst_fetch(Addr(instr.pc.0));
+                let lat = self.access(Addr(instr.pc.0), false, true).latency;
                 self.cur_fetch_block = Some(block);
                 let extra = lat.saturating_sub(i_hit);
                 if extra > 0 {
                     self.fetch_resume_at = self.cycle + u64::from(extra);
-                    if self.acct.enabled() {
+                    if self.probe.enabled() {
                         self.acct_fetch_stall = FetchStall::IcacheMiss;
                     }
                     break; // the instruction is fetched after the miss
@@ -1208,9 +1096,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             }
             let gseq = self.next_fetch;
             self.next_fetch += 1;
-            if self.life.enabled() {
-                self.life.fetch(gseq, self.cycle, &instr);
-            }
+            self.probe.fetch(gseq, &instr);
             self.frontend.push_back(Fetched {
                 gseq,
                 instr,
@@ -1241,25 +1127,13 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
 
     fn squash_inner(&mut self, victim: u64, penalty: u64, cause: SquashCause) {
         self.violation_squashes += 1;
-        if self.life.enabled() {
-            // Terminate before the fetch rewind below: `next_fetch` is
-            // still the pre-squash frontier bounding the in-flight seqs.
-            self.life.squash(victim, self.next_fetch, self.cycle, cause);
-        }
-        if self.tracer.enabled() {
-            // The victim's PC must be read before the ROB truncation
-            // removes the entry.
-            let pc = self
-                .rob
-                .get(victim)
-                .map(|e| e.instr.pc)
-                .unwrap_or(lsq_isa::Pc(0));
-            self.tracer.emit(Event::Squash {
-                victim,
-                pc,
-                cause,
-                penalty,
-            });
+        if self.probe.enabled() {
+            // Before the ROB truncation and the fetch rewind below: the
+            // victim's PC is still readable and `next_fetch` is still the
+            // pre-squash frontier bounding the in-flight seqs.
+            let pc = self.rob_pc(victim);
+            self.probe
+                .squash(victim, pc, cause, penalty, self.next_fetch);
         }
         let removed = self.rob.truncate_from(victim);
         self.instructions_squashed += removed as u64;
@@ -1305,7 +1179,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         self.next_fetch = victim;
         self.fetch_resume_at = self.cycle + penalty;
         self.cur_fetch_block = None;
-        if self.acct.enabled() {
+        if self.probe.enabled() {
             self.acct_fetch_stall = FetchStall::Squash;
             // A stall recorded for a now-squashed head must not leak
             // into this cycle's classification.
@@ -1323,17 +1197,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     // ------------------------------------------------------------------
 
     fn result(&self, hit_cycle_cap: bool) -> SimResult {
-        let cpi_stack = self.acct.report();
-        if let Some(stack) = &cpi_stack {
-            // The tentpole invariant: every commit slot of every cycle
-            // was charged to exactly one component.
-            debug_assert_eq!(
-                stack.total_slots(),
-                self.cycle * self.cfg.commit_width as u64,
-                "CPI-stack components must sum exactly to cycles × commit_width"
-            );
-        }
-        SimResult {
+        let mut r = SimResult {
             cycles: self.cycle,
             committed: self.committed,
             loads_committed: self.loads_committed,
@@ -1352,22 +1216,68 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             l2_miss_rate: self.mem.l2_stats().miss_rate(),
             wall_nanos: 0,
             sim_mips: 0.0,
-            profile: self.profiler.report(),
-            cpi_stack,
-            stage_latency: self.life.report(),
+            profile: None,
+            cpi_stack: None,
+            stage_latency: None,
             hit_cycle_cap,
+        };
+        self.probe.report(&mut r);
+        if let Some(stack) = &r.cpi_stack {
+            // The tentpole invariant: every commit slot of every cycle
+            // was charged to exactly one component.
+            debug_assert_eq!(
+                stack.total_slots(),
+                self.cycle * self.cfg.commit_width as u64,
+                "CPI-stack components must sum exactly to cycles × commit_width"
+            );
         }
+        r
     }
 
-    /// Drains the lifecycle recorder's finished-record ring (oldest
-    /// first), or `None` when no recorder is attached.
-    pub fn take_pipeview_records(&mut self) -> Option<Vec<lsq_obs::PipeRecord>> {
-        self.life.take_records()
+    /// A cache access, with an L1 miss reported to the probe.
+    // lsq-lint: hot
+    #[inline]
+    fn access(&mut self, addr: Addr, write: bool, fetch: bool) -> Access {
+        let a = self.mem.access(addr, write, fetch);
+        if let (true, Some(level)) = (self.probe.enabled(), a.miss) {
+            self.probe.cache_miss(addr, level, fetch);
+        }
+        a
     }
 
-    /// Finished lifecycle records evicted because the ring was full.
-    pub fn pipeview_dropped(&self) -> u64 {
-        self.life.dropped()
+    /// Reports a store's issue or drain to the probe. The store searched
+    /// the load queue if its scheme detects violations at that point:
+    /// at issue for the execute-time schemes, at drain for the
+    /// commit-time ones.
+    fn probe_store_search(
+        &mut self,
+        op: LsqOp,
+        seq: u64,
+        pc: Pc,
+        addr: Addr,
+        violation: Option<u64>,
+    ) {
+        if !self.probe.enabled() {
+            return;
+        }
+        let searched = self.cfg.lsq.predictor.detects_at_commit() == (op == LsqOp::Drain);
+        self.probe.lsq_search(&LsqSearch {
+            op,
+            seq,
+            pc,
+            addr,
+            sq_path: None,
+            lq_path: searched.then(|| self.lsq.lq_search_path()),
+            lb: false,
+            forwarded_from: None,
+            useless: false,
+            violation: violation.map(|v| (v, self.rob_pc(v))),
+        });
+    }
+
+    /// The PC of in-flight `seq` (zero if it is not in the ROB).
+    fn rob_pc(&self, seq: u64) -> Pc {
+        self.rob.get(seq).map_or(Pc(0), |e| e.instr.pc)
     }
 }
 
@@ -1736,6 +1646,7 @@ mod tests {
     #[test]
     fn accounted_run_partitions_every_commit_slot() {
         use crate::accounting::SlotAccountant;
+        use crate::probe::ProbeSet;
         // A mixed workload exercising loads, branches, and dep chains.
         let mut instrs = Vec::new();
         for i in 0..3000u64 {
@@ -1757,12 +1668,11 @@ mod tests {
         }
         let n = instrs.len() as u64;
         let mut stream = VecStream::new(instrs);
-        let mut sim = Simulator::with_all(
-            SimConfig::default(),
-            NopTracer,
-            NopProfiler,
-            SlotAccountant::new(),
-        );
+        let probe = ProbeSet {
+            acct: Some(SlotAccountant::new()),
+            ..ProbeSet::default()
+        };
+        let mut sim = Simulator::with_probe(SimConfig::default(), probe);
         let r = sim.run(&mut stream, n);
         let stack = r.cpi_stack.expect("accounted run reports a stack");
         // The partition invariant, and its corollary: base slots are

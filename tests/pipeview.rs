@@ -13,12 +13,8 @@
 use lsq::core::LsqConfig;
 use lsq::experiments::{telemetry, Engine, Job, RunSpec};
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
-use lsq::obs::{
-    parse_konata, parse_o3, parse_pipeview, NopTracer, PipeRecord, PipeviewConfig, SquashCause,
-};
-use lsq::pipeline::{
-    NopAccountant, NopProfiler, PipeviewRecorder, SimConfig, SimResult, Simulator,
-};
+use lsq::obs::{parse_konata, parse_o3, parse_pipeview, PipeRecord, PipeviewConfig, SquashCause};
+use lsq::pipeline::{PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator};
 use lsq::trace::BenchProfile;
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -57,19 +53,16 @@ impl Drop for EnvGuard {
 fn recorded_run(bench: &str, n: u64) -> (SimResult, Vec<PipeRecord>) {
     let profile = BenchProfile::named(bench).expect("known benchmark");
     let mut stream = profile.stream(7);
-    let mut sim = Simulator::with_lifecycle(
-        SimConfig::with_lsq(LsqConfig::default()),
-        NopTracer,
-        NopProfiler,
-        NopAccountant,
-        PipeviewRecorder::new(1 << 16),
-    );
+    let probe = ProbeSet {
+        life: Some(PipeviewRecorder::new(1 << 16)),
+        ..ProbeSet::default()
+    };
+    let mut sim = Simulator::with_probe(SimConfig::with_lsq(LsqConfig::default()), probe);
     sim.prewarm(&stream.data_regions(), stream.code_region());
     let res = sim.run(&mut stream, n);
-    assert_eq!(sim.pipeview_dropped(), 0, "ring sized to hold everything");
-    let records = sim
-        .take_pipeview_records()
-        .expect("recorder drains records");
+    let mut life = sim.into_probe().life.expect("recorder attached");
+    assert_eq!(life.dropped(), 0, "ring sized to hold everything");
+    let records = life.take_records();
     (res, records)
 }
 
@@ -147,16 +140,18 @@ fn squash_heavy_run_terminates_records_with_causes() {
     let instrs = violation_workload(200);
     let n = instrs.len() as u64;
     let mut stream = VecStream::new(instrs);
-    let mut sim = Simulator::with_lifecycle(
-        SimConfig::default(),
-        NopTracer,
-        NopProfiler,
-        NopAccountant,
-        PipeviewRecorder::new(1 << 16),
-    );
+    let probe = ProbeSet {
+        life: Some(PipeviewRecorder::new(1 << 16)),
+        ..ProbeSet::default()
+    };
+    let mut sim = Simulator::with_probe(SimConfig::default(), probe);
     let res = sim.run(&mut stream, n);
     assert!(res.violation_squashes > 0, "workload must squash");
-    let records = sim.take_pipeview_records().expect("records drained");
+    let records = sim
+        .into_probe()
+        .life
+        .expect("recorder attached")
+        .take_records();
 
     let squashed: Vec<&PipeRecord> = records.iter().filter(|r| r.squash.is_some()).collect();
     assert!(!squashed.is_empty(), "squash victims leave records");

@@ -15,10 +15,7 @@
 
 use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
 use lsq::experiments::runner::diff_results;
-use lsq::obs::NopTracer;
-use lsq::pipeline::{
-    NopAccountant, NopProfiler, PipeviewRecorder, SimConfig, SimResult, Simulator, SlotAccountant,
-};
+use lsq::pipeline::{PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator, SlotAccountant};
 use lsq::trace::BenchProfile;
 
 const WARMUP: u64 = 3_000;
@@ -45,12 +42,11 @@ fn run(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
 fn run_accounted(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
     let profile = BenchProfile::named(bench).expect("known benchmark");
     let mut stream = profile.stream(1);
-    let mut sim = Simulator::with_all(
-        SimConfig::with_lsq(lsq_cfg),
-        NopTracer,
-        NopProfiler,
-        SlotAccountant::new(),
-    );
+    let probe = ProbeSet {
+        acct: Some(SlotAccountant::new()),
+        ..ProbeSet::default()
+    };
+    let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq_cfg), probe);
     if polling {
         sim.set_reference_scheduler();
     }
@@ -66,13 +62,11 @@ fn run_accounted(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
 fn run_recorded(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
     let profile = BenchProfile::named(bench).expect("known benchmark");
     let mut stream = profile.stream(1);
-    let mut sim = Simulator::with_lifecycle(
-        SimConfig::with_lsq(lsq_cfg),
-        NopTracer,
-        NopProfiler,
-        NopAccountant,
-        PipeviewRecorder::new(4096),
-    );
+    let probe = ProbeSet {
+        life: Some(PipeviewRecorder::new(4096)),
+        ..ProbeSet::default()
+    };
+    let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq_cfg), probe);
     if polling {
         sim.set_reference_scheduler();
     }

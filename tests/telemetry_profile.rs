@@ -1,5 +1,5 @@
 //! End-to-end checks of the live-telemetry and self-profiler subsystems:
-//! profiling must not perturb simulated counters (the `NopProfiler`
+//! profiling must not perturb simulated counters (the `NopProbe`
 //! twin of the tracing equivalence test), `LSQ_PROFILE=1` must flow a
 //! per-phase profile into every `LSQ_EXPERIMENTS_JSON` record, and the
 //! metrics server must expose live Prometheus text plus a `/jobs` JSON
@@ -14,8 +14,8 @@ use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
 use lsq::experiments::runner::run_matrix;
 use lsq::experiments::{telemetry, Engine, Job, RunSpec};
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
-use lsq::obs::{Json, NopTracer};
-use lsq::pipeline::{NopProfiler, Phase, WallProfiler};
+use lsq::obs::Json;
+use lsq::pipeline::{NopProbe, Phase, ProbeSet, WallProfiler};
 use lsq::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -77,11 +77,15 @@ fn profiling_does_not_perturb_the_simulation() {
     let instrs = violation_workload(150);
     let n = instrs.len() as u64;
     let mut plain_stream = VecStream::new(instrs.clone());
-    let mut plain = Simulator::with_parts(SimConfig::default(), NopTracer, NopProfiler);
+    let mut plain = Simulator::with_probe(SimConfig::default(), NopProbe);
     let p = plain.run(&mut plain_stream, n);
 
     let mut profiled_stream = VecStream::new(instrs);
-    let mut profiled = Simulator::with_parts(SimConfig::default(), NopTracer, WallProfiler::new());
+    let timer = ProbeSet {
+        timer: Some(WallProfiler::new()),
+        ..ProbeSet::default()
+    };
+    let mut profiled = Simulator::with_probe(SimConfig::default(), timer);
     let r = profiled.run(&mut profiled_stream, n);
 
     assert_eq!(p.cycles, r.cycles, "profiling must not perturb timing");

@@ -5,7 +5,8 @@
 //! at the offending static instruction.
 
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
-use lsq::obs::{Event, Json, SampleInput, Sampler, SharedTracer, TraceBuffer, TraceConfig};
+use lsq::obs::{Event, Json, SampleInput, Sampler, TraceBuffer, TraceConfig};
+use lsq::pipeline::{NopProbe, PipeviewRecorder, Probe, ProbeSet, SlotAccountant, WallProfiler};
 use lsq::prelude::*;
 
 /// A loop whose store's data arrives late, so the same-address load
@@ -33,12 +34,16 @@ fn traced_run(iters: u64, window: u64) -> (lsq::pipeline::SimResult, TraceBuffer
     let instrs = violation_workload(iters);
     let n = instrs.len() as u64;
     let mut stream = VecStream::new(instrs);
-    let tracer = SharedTracer::new();
-    let mut sim = Simulator::with_tracer(SimConfig::default(), tracer.clone());
-    sim.set_sampler(Sampler::new(window));
+    let probe = ProbeSet {
+        trace: Some(TraceBuffer::new()),
+        sampler: Some(Sampler::new(window)),
+        ..ProbeSet::default()
+    };
+    let mut sim = Simulator::with_probe(SimConfig::default(), probe);
     let r = sim.run(&mut stream, n);
-    let sampler = sim.take_sampler().expect("sampler was set");
-    (r, tracer.snapshot(), sampler)
+    let mut probe = sim.into_probe();
+    let sampler = probe.take_sampler().expect("sampler was set");
+    (r, probe.trace.expect("ring was set"), sampler)
 }
 
 #[test]
@@ -201,4 +206,118 @@ fn nop_tracer_interface_is_inert() {
     let buf = TraceBuffer::new();
     assert!(buf.is_empty());
     let _ = Event::LbSearch { load: 1 };
+}
+
+/// The four design points of the benchmark matrix.
+fn design_points() -> [(&'static str, LsqConfig); 4] {
+    [
+        ("conventional2", LsqConfig::default()),
+        (
+            "pair",
+            LsqConfig {
+                predictor: PredictorKind::Pair,
+                ..LsqConfig::default()
+            },
+        ),
+        ("lb1", LsqConfig::with_techniques(1)),
+        ("segmented", LsqConfig::segmented(SegAlloc::SelfCircular)),
+    ]
+}
+
+/// Runs `bench` on design point `lsq` for `n` instructions with `probe`
+/// attached, returning the cumulative result and the probe.
+fn probed_run<P: Probe>(bench: &str, lsq: LsqConfig, n: u64, probe: P) -> (SimResult, P) {
+    let mut stream = BenchProfile::named(bench)
+        .expect("known benchmark")
+        .stream(3);
+    let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq), probe);
+    sim.prewarm(&stream.data_regions(), stream.code_region());
+    let r = sim.run(&mut stream, n);
+    (r, sim.into_probe())
+}
+
+/// Every event the ring records mirrors a counter: with a ring large
+/// enough to drop nothing, each event kind occurs exactly as often as
+/// the counter it stands for, on every design point.
+#[test]
+fn trace_events_mirror_their_counters() {
+    let mut seen = [0u64; 5];
+    for (label, lsq) in design_points() {
+        for bench in ["gcc", "vortex"] {
+            let ring = ProbeSet {
+                trace: Some(TraceBuffer::with_capacity(1 << 24)),
+                ..ProbeSet::default()
+            };
+            let (r, probe) = probed_run(bench, lsq, 20_000, ring);
+            let buf = probe.trace.expect("ring was set");
+            assert_eq!(
+                buf.dropped(),
+                0,
+                "{bench}/{label}: ring must hold every event"
+            );
+            let count = |f: fn(&Event) -> bool| buf.events().filter(|e| f(&e.event)).count() as u64;
+            let pairs = [
+                (
+                    "forward",
+                    count(|e| matches!(e, Event::Forward { .. })),
+                    r.lsq.sq_search_hits,
+                ),
+                (
+                    "violation",
+                    count(|e| matches!(e, Event::Violation { .. })),
+                    r.lsq.violations,
+                ),
+                (
+                    "useless_search",
+                    count(|e| matches!(e, Event::UselessSearch { .. })),
+                    r.lsq.useless_searches,
+                ),
+                (
+                    "squash",
+                    count(|e| matches!(e, Event::Squash { .. })),
+                    r.violation_squashes,
+                ),
+                (
+                    "dispatch",
+                    count(|e| matches!(e, Event::Dispatch { .. })),
+                    r.lsq.loads_dispatched + r.lsq.stores_dispatched,
+                ),
+            ];
+            for (i, (name, events, counter)) in pairs.into_iter().enumerate() {
+                assert_eq!(events, counter, "{bench}/{label}: {name} events vs counter");
+                seen[i] += events;
+            }
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "every event kind occurred: {seen:?}"
+    );
+}
+
+/// A probe set with every recorder attached is pure observability: the
+/// simulated result equals the unobserved run's on every design point,
+/// apart from the reports only the recorders produce.
+#[test]
+fn all_recorders_on_match_the_nop_probe() {
+    for (label, lsq) in design_points() {
+        let (plain, _) = probed_run("gcc", lsq, 20_000, NopProbe);
+        let all = ProbeSet {
+            trace: Some(TraceBuffer::with_capacity(1 << 10)),
+            sampler: Some(Sampler::new(500)),
+            timer: Some(WallProfiler::new()),
+            acct: Some(SlotAccountant::with_sampler(500)),
+            life: Some(PipeviewRecorder::new(1 << 10)),
+            ..ProbeSet::default()
+        };
+        let (mut observed, _) = probed_run("gcc", lsq, 20_000, all);
+        assert!(observed.profile.take().is_some(), "{label}: profile");
+        assert!(observed.cpi_stack.take().is_some(), "{label}: cpi stack");
+        assert!(observed.stage_latency.take().is_some(), "{label}: stages");
+        assert_eq!(
+            format!("{plain:?}"),
+            format!("{observed:?}"),
+            "{label}: observing perturbed the simulation"
+        );
+    }
 }
