@@ -45,7 +45,7 @@ pub mod store_set;
 
 pub use config::{ConfigError, LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc, SegConfig};
 pub use load_buffer::{LbIssue, LoadBuffer};
-pub use lsq::{LoadIssue, LoadIssued, Lsq, StoreDrain, StoreIssue};
+pub use lsq::{LoadIssue, LoadIssued, Lsq, StoreDrain, StoreIssue, StoreSearch};
 pub use segmented::{Placement, PortBook, SegmentedAlloc};
 pub use stats::LsqStats;
 pub use store_set::{LoadPrediction, Ssid, StoreSetPredictor};

@@ -120,6 +120,17 @@ pub enum StoreDrain {
     },
 }
 
+/// What the last store issue or drain searched in the load queue, read
+/// back through [`Lsq::store_search`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreSearch {
+    /// Whether the store spent a load-queue violation search; its
+    /// segment path is [`Lsq::lq_search_path`].
+    pub searched_lq: bool,
+    /// The oldest premature load the search found, with its static PC.
+    pub violation: Option<(u64, Pc)>,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct LqEntry {
     seq: u64,
@@ -167,6 +178,8 @@ pub struct Lsq {
     sq_path_buf: Vec<usize>,
     /// Scratch buffer for load-queue search paths.
     lq_path_buf: Vec<usize>,
+    /// The last store issue's or drain's load-queue search.
+    store_search: StoreSearch,
     stats: LsqStats,
 }
 
@@ -205,6 +218,7 @@ impl Lsq {
             sq_ports: PortBook::new(nsegs, cfg.ports),
             sq_path_buf: Vec::with_capacity(nsegs),
             lq_path_buf: Vec::with_capacity(nsegs),
+            store_search: StoreSearch::default(),
             stats: LsqStats::new(nsegs),
             cfg,
         })
@@ -631,13 +645,16 @@ impl Lsq {
         }
         self.stats.stores_issued += 1;
 
-        if let Some(victim) = violation {
-            self.record_violation(victim, pc, false);
-        }
+        self.store_search = StoreSearch {
+            searched_lq: searches_lq,
+            violation: violation.map(|v| (v, self.record_violation(v, pc, false))),
+        };
         StoreIssue::Issued { violation }
     }
 
-    fn record_violation(&mut self, victim: u64, store_pc: Pc, at_commit: bool) {
+    /// Counts a violation of load `victim` by the store at `store_pc`,
+    /// trains the predictor on the pair, and returns the load's PC.
+    fn record_violation(&mut self, victim: u64, store_pc: Pc, at_commit: bool) -> Pc {
         self.stats.violations += 1;
         if at_commit {
             self.stats.commit_violations += 1;
@@ -645,6 +662,7 @@ impl Lsq {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the LQ violation scan just above returned this victim, so it is resident")
         let load_pc = self.lq[self.lq_index(victim).expect("victim resident")].pc;
         self.pred.train_pair(load_pc, store_pc);
+        load_pc
     }
 
     // ------------------------------------------------------------------
@@ -708,7 +726,8 @@ impl Lsq {
         }
 
         let mut violation = None;
-        if self.cfg.predictor.detects_at_commit() {
+        let searches_lq = self.cfg.predictor.detects_at_commit();
+        if searches_lq {
             let victim = self.compute_lq_violation_scan(front.seq, front.addr);
             if !self.lq_ports.can_book(&self.lq_path_buf) {
                 self.stats.commit_port_delays += 1;
@@ -725,9 +744,10 @@ impl Lsq {
             self.pred.on_store_commit(ssid);
         }
         self.stats.stores_committed += 1;
-        if let Some(victim) = violation {
-            self.record_violation(victim, front.pc, true);
-        }
+        self.store_search = StoreSearch {
+            searched_lq: searches_lq,
+            violation: violation.map(|v| (v, self.record_violation(v, front.pc, true))),
+        };
         StoreDrain::Drained {
             seq: front.seq,
             addr: front.addr,
@@ -828,6 +848,13 @@ impl Lsq {
     /// call.
     pub fn lq_search_path(&self) -> &[usize] {
         &self.lq_path_buf
+    }
+
+    /// What the last [`StoreIssue::Issued`] or [`StoreDrain::Drained`]
+    /// searched in the load queue and found; valid until the next `Lsq`
+    /// call.
+    pub fn store_search(&self) -> StoreSearch {
+        self.store_search
     }
 
     /// Current load-queue occupancy.
@@ -951,6 +978,13 @@ mod tests {
             StoreIssue::Issued { violation } => assert_eq!(violation, Some(1)),
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(
+            l.store_search(),
+            StoreSearch {
+                searched_lq: true,
+                violation: Some((1, Pc(0x1004))),
+            }
+        );
         assert_eq!(l.stats().violations, 1);
         assert_eq!(l.stats().commit_violations, 0);
     }
@@ -1072,6 +1106,7 @@ mod tests {
         // The store's execute did NOT search (pair scheme); detection
         // happens at commit.
         assert_eq!(l.stats().lq_searches_by_stores, 0);
+        assert_eq!(l.store_search(), StoreSearch::default());
         l.begin_cycle();
         l.store_retire(0);
         assert!(l.has_undrained_store_before(1));
@@ -1079,6 +1114,13 @@ mod tests {
             StoreDrain::Drained { violation, .. } => assert_eq!(violation, Some(1)),
             other => panic!("unexpected {other:?}"),
         }
+        assert_eq!(
+            l.store_search(),
+            StoreSearch {
+                searched_lq: true,
+                violation: Some((1, Pc(0x3000))),
+            }
+        );
         assert!(!l.has_undrained_store_before(1));
         assert_eq!(l.stats().commit_violations, 1);
         // Training happened: refetch the pair; now the load is gated and

@@ -209,7 +209,8 @@ fn warn_on_trace_drops(bench: &str, buf: &TraceBuffer) {
 /// [`TraceBuffer`] ring sized by `trace` (and, when it asks for one, a
 /// windowed [`Sampler`]) and the captured buffer and flushed sampler are
 /// returned alongside the measured-phase result instead of being written
-/// to `trace`'s files. The other `LSQ_*` observers still apply.
+/// to `trace`'s files. `LSQ_ACCOUNTING` and `LSQ_PIPEVIEW` still apply;
+/// `LSQ_PROFILE` does not.
 ///
 /// The sampler is attached before the warm-up phase so its per-window
 /// deltas partition the *whole* run — summing `committed` over every
@@ -229,6 +230,7 @@ pub fn run_traced(
     let mut probe = ProbeSet::from_env().unwrap_or_default();
     probe.trace = Some(TraceBuffer::with_capacity(trace.capacity));
     probe.sampler = trace.effective_sample_cycles().map(Sampler::new);
+    probe.timer = None;
     probe.sinks.trace = None;
     let (result, mut probe) = simulate(bench, lsq, scaled, spec, number_sinks(probe));
     flush_sinks(bench, &mut probe);

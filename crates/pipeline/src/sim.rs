@@ -526,7 +526,7 @@ impl<P: Probe> Simulator<P> {
                     violation,
                 } => {
                     self.dcache_used += 1;
-                    self.probe_store_search(LsqOp::Drain, seq, pc, addr, violation);
+                    self.probe_store_search(LsqOp::Drain, seq, pc, addr);
                     self.access(addr, true, false);
                     if let Some(victim) = violation {
                         let penalty = self.cfg.mispredict_penalty + self.cfg.pair_recovery_extra;
@@ -723,7 +723,7 @@ impl<P: Probe> Simulator<P> {
             }
             InstrKind::Store => match self.timed(Phase::LsqSearch, |s| s.lsq.store_issue(seq)) {
                 StoreIssue::Issued { violation } => {
-                    self.probe_store_search(LsqOp::Store, seq, e.instr.pc, e.instr.addr, violation);
+                    self.probe_store_search(LsqOp::Store, seq, e.instr.pc, e.instr.addr);
                     // lsq-lint: allow(no-unwrap-in-lib, reason = "completion events reference only in-flight seqs resident in the ROB")
                     let entry = self.rob.get_mut(seq).expect("resident");
                     entry.state = State::Issued;
@@ -1245,33 +1245,24 @@ impl<P: Probe> Simulator<P> {
         a
     }
 
-    /// Reports a store's issue or drain to the probe. The store searched
-    /// the load queue if its scheme detects violations at that point:
-    /// at issue for the execute-time schemes, at drain for the
-    /// commit-time ones.
-    fn probe_store_search(
-        &mut self,
-        op: LsqOp,
-        seq: u64,
-        pc: Pc,
-        addr: Addr,
-        violation: Option<u64>,
-    ) {
+    /// Reports a store's issue or drain, and the load-queue search the
+    /// `Lsq` made for it, to the probe.
+    fn probe_store_search(&mut self, op: LsqOp, seq: u64, pc: Pc, addr: Addr) {
         if !self.probe.enabled() {
             return;
         }
-        let searched = self.cfg.lsq.predictor.detects_at_commit() == (op == LsqOp::Drain);
+        let search = self.lsq.store_search();
         self.probe.lsq_search(&LsqSearch {
             op,
             seq,
             pc,
             addr,
             sq_path: None,
-            lq_path: searched.then(|| self.lsq.lq_search_path()),
+            lq_path: search.searched_lq.then(|| self.lsq.lq_search_path()),
             lb: false,
             forwarded_from: None,
             useless: false,
-            violation: violation.map(|v| (v, self.rob_pc(v))),
+            violation: search.violation,
         });
     }
 

@@ -5,7 +5,7 @@
 //! at the offending static instruction.
 
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
-use lsq::obs::{Event, Json, SampleInput, Sampler, TraceBuffer, TraceConfig};
+use lsq::obs::{Event, Json, MissLevel, SampleInput, Sampler, TraceBuffer, TraceConfig};
 use lsq::pipeline::{NopProbe, PipeviewRecorder, Probe, ProbeSet, SlotAccountant, WallProfiler};
 use lsq::prelude::*;
 
@@ -293,6 +293,62 @@ fn trace_events_mirror_their_counters() {
         seen.iter().all(|&n| n > 0),
         "every event kind occurred: {seen:?}"
     );
+}
+
+/// Prewarming the caches records nothing; afterwards every L1 miss is
+/// traced once, with the level that served it, for data accesses and
+/// instruction fetches alike, and L1 hits are not traced.
+#[test]
+fn cache_misses_are_traced_but_prewarm_is_silent() {
+    let ring = ProbeSet {
+        trace: Some(TraceBuffer::new()),
+        ..ProbeSet::default()
+    };
+    let mut sim = Simulator::with_probe(SimConfig::default(), ring);
+    // 256 KiB overflows the 64 KiB L1D but fits the L2, so the region's
+    // first block ends up L2-resident only.
+    sim.prewarm(&[(0x10_0000, 256 << 10)], (0x1000, 64));
+    let ring = sim.probe_mut().trace.as_ref().expect("ring was set");
+    assert_eq!(ring.total(), 0, "prewarm is silent");
+
+    let instrs = vec![
+        Instruction::load(Pc(0x1000), Addr(0x10_0000)).with_dst(ArchReg::int(1)),
+        Instruction::load(Pc(0x1004), Addr(0x30_0000)).with_dst(ArchReg::int(2)),
+        Instruction::load(Pc(0x1008), Addr(0x30_0000)).with_dst(ArchReg::int(3)),
+        Instruction::op(Pc(0x10_0100), InstrKind::IntAlu),
+        Instruction::op(Pc(0x40_0000), InstrKind::IntAlu),
+    ];
+    let n = instrs.len() as u64;
+    let r = sim.run(&mut VecStream::new(instrs), n);
+    assert_eq!(r.committed, n);
+    let buf = sim.into_probe().trace.expect("ring was set");
+    let mut misses: Vec<Event> = buf
+        .events()
+        .map(|e| e.event)
+        .filter(|e| matches!(e, Event::CacheMiss { .. }))
+        .collect();
+    let miss = |addr, level, fetch| Event::CacheMiss {
+        addr: Addr(addr),
+        level,
+        fetch,
+    };
+    // Data: an L2 hit, a memory miss, then an L1 hit (no event). Fetch:
+    // the prewarmed code block hits; a block of the prewarmed data region
+    // is in the L2; a cold block goes to memory.
+    let expected = [
+        miss(0x10_0000, MissLevel::L2, false),
+        miss(0x30_0000, MissLevel::Memory, false),
+        miss(0x10_0100, MissLevel::L2, true),
+        miss(0x40_0000, MissLevel::Memory, true),
+    ];
+    for e in expected {
+        let at = misses
+            .iter()
+            .position(|m| *m == e)
+            .unwrap_or_else(|| panic!("missing {e:?}"));
+        misses.remove(at);
+    }
+    assert!(misses.is_empty(), "unexpected cache misses: {misses:?}");
 }
 
 /// A probe set with every recorder attached is pure observability: the
