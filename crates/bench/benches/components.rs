@@ -1,11 +1,15 @@
 //! Micro-benchmarks of the hardware-structure models the simulator leans
 //! on per cycle: predictor table operations, load-buffer bookkeeping,
-//! segmented allocation, port booking, cache accesses, and the ring
-//! queue. These bound the per-cycle simulation cost and catch accidental
-//! algorithmic regressions (e.g. an O(n) slip in a hot path).
+//! segmented allocation, port booking, the LSQ's store-queue and
+//! load-queue searches, cache accesses, and the ring queue. These bound
+//! the per-cycle simulation cost and catch accidental algorithmic
+//! regressions (e.g. an O(n) slip in a hot path).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use lsq_core::{LoadBuffer, PortBook, SegAlloc, SegmentedAlloc, StoreSetPredictor};
+use lsq_core::{
+    LoadBuffer, LoadIssue, Lsq, LsqConfig, PortBook, SegAlloc, SegmentedAlloc, StoreIssue,
+    StoreSetPredictor,
+};
 use lsq_isa::{Addr, Pc};
 
 use lsq_mem::{Cache, CacheConfig};
@@ -108,6 +112,127 @@ fn segmentation(c: &mut Criterion) {
     g.finish();
 }
 
+/// A queue held at a measured occupancy: `stores` stores followed in
+/// program order by `loads` loads. Every fourth load reads a word one of
+/// the stores writes, so issued stores give some loads a forwarding
+/// source part-way down the store queue.
+struct Filled {
+    lsq: Lsq,
+    stores: u64,
+    loads: u64,
+}
+
+impl Filled {
+    fn new(cfg: LsqConfig, stores: u64, loads: u64, issue_stores: bool) -> Self {
+        let mut f = Self {
+            lsq: Lsq::new(cfg).expect("valid config"),
+            stores,
+            loads,
+        };
+        f.dispatch_stores();
+        if issue_stores {
+            for seq in 0..stores {
+                f.lsq.begin_cycle();
+                let issued = f.lsq.store_issue(seq);
+                assert!(matches!(issued, StoreIssue::Issued { violation: None }));
+            }
+        }
+        f.dispatch_loads();
+        f
+    }
+
+    fn dispatch_stores(&mut self) {
+        for seq in 0..self.stores {
+            self.lsq
+                .dispatch_store(seq, Pc(0x2000 + seq * 4), Addr(0x10_000 + seq * 64));
+        }
+    }
+
+    fn load_seqs(&self) -> std::ops::Range<u64> {
+        self.stores..self.stores + self.loads
+    }
+
+    fn dispatch_loads(&mut self) {
+        for seq in self.load_seqs() {
+            let j = seq - self.stores;
+            let addr = if j.is_multiple_of(4) {
+                Addr(0x10_000 + (j % self.stores) * 64)
+            } else {
+                Addr(0x80_000 + j * 64)
+            };
+            self.lsq.dispatch_load(seq, Pc(0x4000 + j * 4), addr);
+        }
+    }
+}
+
+/// The LSQ's search kernels at the occupancies a traced run of the
+/// simulator measures (LQ ≈ 32, SQ ≈ 10 for the two-ported conventional
+/// queue; LQ ≈ 67, SQ ≈ 21 for the 4 × 28 self-circular segmented one).
+/// Each sample issues every resident load (or store) once, a cycle
+/// apart, then squashes and re-dispatches the issued entries to restore
+/// the occupancy; that restore is part of the timed work.
+fn lsq_search(c: &mut Criterion) {
+    let mut g = c.benchmark_group("lsq_search");
+    for (label, cfg, stores, loads) in [
+        ("conventional2", LsqConfig::conventional(2), 10, 32),
+        (
+            "segmented",
+            LsqConfig::segmented(SegAlloc::SelfCircular),
+            21,
+            67,
+        ),
+    ] {
+        g.throughput(Throughput::Elements(loads));
+        g.bench_function(format!("load_issue/issued/{label}"), |b| {
+            let mut f = Filled::new(cfg, stores, loads, true);
+            b.iter(|| {
+                for seq in f.load_seqs() {
+                    f.lsq.begin_cycle();
+                    black_box(f.lsq.load_issue(seq));
+                }
+                f.lsq.squash_from(f.stores);
+                f.dispatch_loads();
+            })
+        });
+
+        // Two loads take both ports of the segment every load's store
+        // search starts in; the rest are refused until the next cycle.
+        g.throughput(Throughput::Elements(OPS));
+        g.bench_function(format!("load_issue/refused/{label}"), |b| {
+            let mut f = Filled::new(cfg, stores, loads, true);
+            f.lsq.begin_cycle();
+            let mut seqs = f.load_seqs();
+            for seq in seqs.by_ref().take(2) {
+                assert!(matches!(f.lsq.load_issue(seq), LoadIssue::Issued(_)));
+            }
+            let refused = seqs.next().expect("a third load");
+            assert_eq!(f.lsq.load_issue(refused), LoadIssue::NoSqPort);
+            b.iter(|| {
+                for _ in 0..OPS {
+                    black_box(f.lsq.load_issue(refused));
+                }
+            })
+        });
+
+        // Each store's violation search runs over every load, all
+        // younger than it (and unissued, so none is a victim).
+        g.throughput(Throughput::Elements(stores));
+        g.bench_function(format!("store_issue/{label}"), |b| {
+            let mut f = Filled::new(cfg, stores, loads, false);
+            b.iter(|| {
+                for seq in 0..f.stores {
+                    f.lsq.begin_cycle();
+                    black_box(f.lsq.store_issue(seq));
+                }
+                f.lsq.squash_from(0);
+                f.dispatch_stores();
+                f.dispatch_loads();
+            })
+        });
+    }
+    g.finish();
+}
+
 fn caches(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache");
     g.throughput(Throughput::Elements(OPS));
@@ -158,6 +283,7 @@ criterion_group!(
     predictor,
     load_buffer,
     segmentation,
+    lsq_search,
     caches,
     ring_queue
 );

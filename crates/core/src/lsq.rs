@@ -156,6 +156,81 @@ struct SqEntry {
     ssid: Option<Ssid>,
 }
 
+/// The segments of a queue's entries in age order, run-length encoded as
+/// `(segment, entries)` pairs, oldest run first. A queue holds a handful
+/// of runs however many entries it holds, so search paths are read off
+/// the runs instead of a walk over the entries.
+#[derive(Debug, Clone)]
+struct SegRuns(VecDeque<(usize, usize)>);
+
+impl SegRuns {
+    fn with_capacity(entries: usize) -> Self {
+        Self(VecDeque::with_capacity(entries))
+    }
+
+    /// Records a new youngest entry in `segment`.
+    fn push_back(&mut self, segment: usize) {
+        match self.0.back_mut() {
+            Some((s, n)) if *s == segment => *n += 1,
+            _ => self.0.push_back((segment, 1)),
+        }
+    }
+
+    /// Forgets the oldest entry.
+    fn pop_front(&mut self) {
+        if let Some((_, n)) = self.0.front_mut() {
+            *n -= 1;
+            if *n == 0 {
+                self.0.pop_front();
+            }
+        }
+    }
+
+    /// Forgets the youngest entry.
+    fn pop_back(&mut self) {
+        if let Some((_, n)) = self.0.back_mut() {
+            *n -= 1;
+            if *n == 0 {
+                self.0.pop_back();
+            }
+        }
+    }
+
+    /// Appends to `path` the distinct segments holding entries `lo..hi`
+    /// of a queue of `len` entries, youngest first.
+    // lsq-lint: hot
+    fn youngest_first(&self, lo: usize, hi: usize, len: usize, path: &mut Vec<usize>) {
+        let mut end = len;
+        for &(seg, n) in self.0.iter().rev() {
+            if end <= lo {
+                break;
+            }
+            let start = end - n;
+            if start < hi && !path.contains(&seg) {
+                path.push(seg);
+            }
+            end = start;
+        }
+    }
+
+    /// Appends to `path` the distinct segments holding entries `lo..hi`,
+    /// oldest first.
+    // lsq-lint: hot
+    fn oldest_first(&self, lo: usize, hi: usize, path: &mut Vec<usize>) {
+        let mut start = 0;
+        for &(seg, n) in &self.0 {
+            if start >= hi {
+                break;
+            }
+            let end = start + n;
+            if end > lo && !path.contains(&seg) {
+                path.push(seg);
+            }
+            start = end;
+        }
+    }
+}
+
 /// The configurable load/store queue model.
 ///
 /// The queue records nothing itself: each operation reports what it
@@ -169,6 +244,16 @@ pub struct Lsq {
     lb: Option<LoadBuffer>,
     lq: VecDeque<LqEntry>,
     sq: VecDeque<SqEntry>,
+    /// Segments of `lq`'s entries, kept in step with it; `None` when the
+    /// queue is unsegmented.
+    lq_runs: Option<SegRuns>,
+    /// Segments of `sq`'s entries, likewise.
+    sq_runs: Option<SegRuns>,
+    /// Issued loads in `lq`.
+    issued_loads: usize,
+    /// Index in `lq` of the oldest unissued load; `lq.len()` when every
+    /// load has issued.
+    first_unissued: usize,
     lq_alloc: SegmentedAlloc,
     sq_alloc: SegmentedAlloc,
     lq_ports: PortBook,
@@ -212,6 +297,14 @@ impl Lsq {
             lb: cfg.load_order.buffer_entries().map(LoadBuffer::new),
             lq: VecDeque::new(),
             sq: VecDeque::new(),
+            lq_runs: cfg
+                .segmentation
+                .map(|_| SegRuns::with_capacity(cfg.lq_capacity())),
+            sq_runs: cfg
+                .segmentation
+                .map(|_| SegRuns::with_capacity(cfg.sq_capacity())),
+            issued_loads: 0,
+            first_unissued: 0,
             lq_alloc,
             sq_alloc,
             lq_ports: PortBook::new(nsegs, cfg.ports),
@@ -280,6 +373,9 @@ impl Lsq {
             // Only an older store can gate this load.
             wait_store: pred.wait_store.filter(|&s| s < seq),
         });
+        if let Some(runs) = &mut self.lq_runs {
+            runs.push_back(place.segment);
+        }
         if let Some(lb) = &mut self.lb {
             lb.on_dispatch(seq, addr);
         }
@@ -306,6 +402,9 @@ impl Lsq {
             place,
             ssid,
         });
+        if let Some(runs) = &mut self.sq_runs {
+            runs.push_back(place.segment);
+        }
         self.stats.stores_dispatched += 1;
     }
 
@@ -323,114 +422,111 @@ impl Lsq {
         self.sq.binary_search_by_key(&seq, |e| e.seq).ok()
     }
 
-    /// Youngest issued older store writing the same word, if any — the
-    /// store-to-load forwarding source.
+    /// Number of stores older than `seq`: they form a prefix of `sq`.
     // lsq-lint: hot
-    fn forwarding_source(&self, load_seq: u64, addr: Addr) -> Option<u64> {
-        self.sq
-            .iter()
-            .rev()
-            .filter(|s| s.seq < load_seq)
-            .find(|s| s.issued && s.addr.same_word(addr))
-            .map(|s| s.seq)
+    fn older_stores(&self, seq: u64) -> usize {
+        self.sq.partition_point(|s| s.seq < seq)
     }
 
-    /// Whether the oracle sees any older in-flight store to the same word
-    /// (the perfect predictor's decision).
+    /// Segment a store-queue search by load `seq` starts in: the youngest
+    /// older store's, or with none the tail's. Always 0 unsegmented.
     // lsq-lint: hot
-    fn oracle_dependent(&self, load_seq: u64, addr: Addr) -> bool {
-        self.sq
-            .iter()
-            .any(|s| s.seq < load_seq && s.addr.same_word(addr))
-    }
-
-    /// Recomputes `self.sq_path_buf` as the segment path of a forwarding
-    /// search: distinct segments of stores older than the load, youngest
-    /// first, truncated at the segment containing the forwarding match.
-    /// Empty span searches the tail segment only.
-    ///
-    /// The path lands in a reusable scratch buffer so issuing never
-    /// allocates; an unsegmented queue's path is always `[0]`, so the
-    /// queue walk is skipped entirely there.
-    // lsq-lint: hot
-    fn compute_sq_search_path(&mut self, load_seq: u64, addr: Addr) {
-        self.sq_path_buf.clear();
+    fn sq_start_segment(&self, seq: u64) -> usize {
         if self.cfg.segmentation.is_none() {
-            self.sq_path_buf.push(0);
-            return;
+            return 0;
         }
-        let path = &mut self.sq_path_buf;
-        for s in self.sq.iter().rev().filter(|s| s.seq < load_seq) {
-            if path.last() != Some(&s.place.segment) && !path.contains(&s.place.segment) {
-                path.push(s.place.segment);
-            }
-            if s.issued && s.addr.same_word(addr) {
-                break; // match found in this segment; search stops here
-            }
-        }
-        if path.is_empty() {
-            // Nothing older in the queue: the search still occupies one
-            // port for a cycle in the segment it starts from.
-            path.push(self.sq.back().map_or(0, |s| s.place.segment));
-        }
-    }
-
-    /// Recomputes `self.lq_path_buf` as the segment path of a store's
-    /// violation search over loads younger than the store — distinct
-    /// segments oldest-first, stopping at the segment containing the
-    /// oldest violating load — and returns that victim, if any.
-    // lsq-lint: hot
-    fn compute_lq_violation_scan(&mut self, store_seq: u64, addr: Addr) -> Option<u64> {
-        let premature = |l: &&LqEntry| {
-            l.issued && l.addr.same_word(addr) && l.forwarded_from.is_none_or(|f| f < store_seq)
+        let older = self.older_stores(seq);
+        let first = if older > 0 {
+            self.sq.get(older - 1)
+        } else {
+            self.sq.back()
         };
-        self.lq_path_buf.clear();
-        if self.cfg.segmentation.is_none() {
-            self.lq_path_buf.push(0);
-            return self
-                .lq
-                .iter()
-                .filter(|l| l.seq > store_seq)
-                .find(premature)
-                .map(|l| l.seq);
-        }
-        let path = &mut self.lq_path_buf;
-        let mut victim = None;
-        for l in self.lq.iter().filter(|l| l.seq > store_seq) {
-            if !path.contains(&l.place.segment) {
-                path.push(l.place.segment);
-            }
-            if premature(&l) {
-                victim = Some(l.seq);
-                break;
-            }
-        }
-        if path.is_empty() {
-            path.push(self.lq.back().map_or(0, |l| l.place.segment));
-        }
-        victim
+        first.map_or(0, |s| s.place.segment)
     }
 
-    /// Recomputes `self.lq_path_buf` as the segment path of a load-load
-    /// ordering search over loads younger than the load (no victim in a
-    /// uniprocessor run: the search is pure bandwidth, which is exactly
-    /// what the paper measures).
+    /// Segment a load-queue search over the loads from index `younger`
+    /// on starts in: the oldest of them's, or with none the tail's.
     // lsq-lint: hot
-    fn compute_lq_loadload_path(&mut self, load_seq: u64) {
-        self.lq_path_buf.clear();
-        if self.cfg.segmentation.is_none() {
-            self.lq_path_buf.push(0);
-            return;
-        }
-        let path = &mut self.lq_path_buf;
-        for l in self.lq.iter().filter(|l| l.seq > load_seq) {
-            if !path.contains(&l.place.segment) {
-                path.push(l.place.segment);
+    fn lq_start_segment(&self, younger: usize) -> usize {
+        self.lq
+            .get(younger)
+            .or(self.lq.back())
+            .map_or(0, |l| l.place.segment)
+    }
+
+    /// The store-queue search of load `seq`. Returns the index of the
+    /// forwarding source, the youngest issued older store writing
+    /// `addr`'s word, and recomputes `self.sq_path_buf` as the search's
+    /// segment path: the distinct segments from the youngest older store
+    /// down to the source, youngest first. With no older store the search
+    /// occupies the tail segment only.
+    ///
+    /// One reverse scan finds the source and the path is read off the
+    /// segment runs, so the path lands in a reusable scratch buffer
+    /// without a second walk or an allocation.
+    // lsq-lint: hot
+    fn sq_search(&mut self, seq: u64, addr: Addr) -> Option<usize> {
+        let older = self.older_stores(seq);
+        let hit = self
+            .sq
+            .range(..older)
+            .rposition(|s| s.issued && s.addr.same_word(addr));
+        self.sq_path_buf.clear();
+        match &self.sq_runs {
+            Some(runs) if older > 0 => runs.youngest_first(
+                hit.unwrap_or(0),
+                older,
+                self.sq.len(),
+                &mut self.sq_path_buf,
+            ),
+            _ => {
+                let tail = self.sq.back().map_or(0, |s| s.place.segment);
+                self.sq_path_buf.push(tail);
             }
         }
-        if path.is_empty() {
-            path.push(self.lq.back().map_or(0, |l| l.place.segment));
+        hit
+    }
+
+    /// Recomputes `self.lq_path_buf` as the segment path of a load-queue
+    /// search over loads `lq[younger..end]`: their distinct segments,
+    /// oldest first. An empty span searches the start segment only.
+    // lsq-lint: hot
+    fn set_lq_path(&mut self, younger: usize, end: usize) {
+        self.lq_path_buf.clear();
+        match &self.lq_runs {
+            Some(runs) if younger < end => runs.oldest_first(younger, end, &mut self.lq_path_buf),
+            _ => {
+                let start = self.lq_start_segment(younger);
+                self.lq_path_buf.push(start);
+            }
         }
+    }
+
+    /// Store `store_seq`'s violation search over the loads younger than
+    /// it, booked on the load-queue ports. Returns `None`, booking
+    /// nothing, when a port on the search path is busy; otherwise the
+    /// oldest premature load (issued to the same word without forwarding
+    /// from this store or a younger one), where the search path stops.
+    // lsq-lint: hot
+    fn store_lq_search(&mut self, store_seq: u64, addr: Addr) -> Option<Option<u64>> {
+        let younger = self.lq.partition_point(|l| l.seq < store_seq);
+        if self.lq_ports.free_now(self.lq_start_segment(younger)) == 0 {
+            return None;
+        }
+        let hit = self
+            .lq
+            .range(younger..)
+            .position(|l| {
+                l.issued && l.addr.same_word(addr) && l.forwarded_from.is_none_or(|f| f < store_seq)
+            })
+            .map(|i| younger + i);
+        self.set_lq_path(younger, hit.map_or(self.lq.len(), |i| i + 1));
+        if !self.lq_ports.can_book(&self.lq_path_buf) {
+            return None;
+        }
+        self.lq_ports.book(&self.lq_path_buf);
+        self.stats.lq_searches_by_stores += 1;
+        Some(hit.map(|i| self.lq[i].seq))
     }
 
     /// Attempts to issue load `seq` this cycle.
@@ -466,7 +562,7 @@ impl Lsq {
         }
 
         // 2. In-order load policies gate on older unissued loads.
-        if self.cfg.load_order.in_order() && self.lq.iter().take(idx).any(|l| !l.issued) {
+        if self.cfg.load_order.in_order() && self.first_unissued < idx {
             self.stats.in_order_stalls += 1;
             return LoadIssue::InOrderStall;
         }
@@ -474,24 +570,46 @@ impl Lsq {
         // 3. Decide whether this load searches the store queue.
         let searches_sq = match self.cfg.predictor {
             PredictorKind::None => true,
-            PredictorKind::Perfect => self.oracle_dependent(seq, addr),
+            // The oracle sees any older in-flight store to the same word.
+            PredictorKind::Perfect => self
+                .sq
+                .range(..self.older_stores(seq))
+                .any(|s| s.addr.same_word(addr)),
             PredictorKind::Aggressive | PredictorKind::Pair => {
                 self.pred.must_search(self.lq[idx].ssid)
             }
         };
 
-        // 4. Check (without booking) every port the load needs. Paths are
-        //    computed into the reusable scratch buffers.
+        // 4. Check (without booking) every port the load needs. A search
+        //    whose first segment has no free port is refused before the
+        //    queue is scanned; otherwise the path is computed into the
+        //    reusable scratch buffer and checked whole. A segmented
+        //    store-queue search stops in its forwarding source's segment,
+        //    so its path needs the scan; an unsegmented one occupies
+        //    segment 0 alone, which the first check covers, and is scanned
+        //    only once every check has passed.
+        let segmented = self.cfg.segmentation.is_some();
+        let mut source = None;
         if searches_sq {
-            self.compute_sq_search_path(seq, addr);
-            if !self.sq_ports.can_book(&self.sq_path_buf) {
+            if self.sq_ports.free_now(self.sq_start_segment(seq)) == 0 {
                 self.stats.sq_port_stalls += 1;
                 return LoadIssue::NoSqPort;
+            }
+            if segmented {
+                source = self.sq_search(seq, addr);
+                if !self.sq_ports.can_book(&self.sq_path_buf) {
+                    self.stats.sq_port_stalls += 1;
+                    return LoadIssue::NoSqPort;
+                }
             }
         }
         let searches_lq = self.cfg.load_order.searches_lq();
         if searches_lq {
-            self.compute_lq_loadload_path(seq);
+            if self.lq_ports.free_now(self.lq_start_segment(idx + 1)) == 0 {
+                self.stats.lq_port_stalls += 1;
+                return LoadIssue::NoLqPort;
+            }
+            self.set_lq_path(idx + 1, self.lq.len());
             if !self.lq_ports.can_book(&self.lq_path_buf) {
                 self.stats.lq_port_stalls += 1;
                 return LoadIssue::NoLqPort;
@@ -506,6 +624,9 @@ impl Lsq {
         }
 
         // 5. All resources available: commit the issue.
+        if searches_sq && !segmented {
+            source = self.sq_search(seq, addr);
+        }
         let mut extra_cycles = 0u32;
         // §3: dependents are scheduled early only when the load's hit
         // latency is constant, i.e. the load sits in the head segment —
@@ -546,13 +667,14 @@ impl Lsq {
                     load_order_violation = violation;
                 }
             }
-        } else if searches_lq {
+        } else if searches_lq && self.cfg.load_load_squash {
             // Conventional load-load search: detect the oldest younger
-            // same-word load already issued out of order.
+            // same-word load already issued out of order. Without
+            // load-load squashing the search is pure port bandwidth.
             load_order_violation = self
                 .lq
-                .iter()
-                .find(|l| l.seq > seq && l.issued && l.addr.same_word(addr))
+                .range(idx + 1..)
+                .find(|l| l.issued && l.addr.same_word(addr))
                 .map(|l| l.seq);
         }
         if !self.cfg.load_load_squash {
@@ -562,42 +684,41 @@ impl Lsq {
         }
 
         let mut useless_search = false;
-        let forwarded_from = if searches_sq {
-            let hit = self.forwarding_source(seq, addr);
-            match hit {
-                Some(store_seq) => {
-                    self.stats.sq_search_hits += 1;
-                    // The pair predictor learns *all* matching pairs, not
-                    // just violating ones (§2.1, Figure 2).
-                    if matches!(
-                        self.cfg.predictor,
-                        PredictorKind::Aggressive | PredictorKind::Pair
-                    ) {
-                        let store_pc =
-                            // lsq-lint: allow(no-unwrap-in-lib, reason = "the SQ search just above returned this store, so it is resident")
-                            self.sq[self.sq_index(store_seq).expect("store resident")].pc;
-                        let load_pc = self.lq[idx].pc;
-                        self.pred.train_pair(load_pc, store_pc);
-                    }
+        let trains = matches!(
+            self.cfg.predictor,
+            PredictorKind::Aggressive | PredictorKind::Pair
+        );
+        let forwarded_from = match source {
+            Some(sidx) => {
+                self.stats.sq_search_hits += 1;
+                // The pair predictor learns *all* matching pairs, not
+                // just violating ones (§2.1, Figure 2).
+                if trains {
+                    let (load_pc, store_pc) = (self.lq[idx].pc, self.sq[sidx].pc);
+                    self.pred.train_pair(load_pc, store_pc);
                 }
-                None => {
-                    if matches!(
-                        self.cfg.predictor,
-                        PredictorKind::Aggressive | PredictorKind::Pair
-                    ) {
-                        self.stats.useless_searches += 1;
-                        useless_search = true;
-                    }
-                }
+                Some(self.sq[sidx].seq)
             }
-            hit
-        } else {
-            None
+            None => {
+                if searches_sq && trains {
+                    self.stats.useless_searches += 1;
+                    useless_search = true;
+                }
+                None
+            }
         };
 
         let e = &mut self.lq[idx];
         e.issued = true;
         e.forwarded_from = forwarded_from;
+        self.issued_loads += 1;
+        if idx == self.first_unissued {
+            self.first_unissued += self
+                .lq
+                .range(idx..)
+                .position(|l| !l.issued)
+                .unwrap_or(self.lq.len() - idx);
+        }
         self.stats.loads_issued += 1;
         LoadIssue::Issued(LoadIssued {
             forwarded_from,
@@ -627,13 +748,10 @@ impl Lsq {
         let searches_lq = !self.cfg.predictor.detects_at_commit();
         let mut violation = None;
         if searches_lq {
-            let victim = self.compute_lq_violation_scan(seq, addr);
-            if !self.lq_ports.can_book(&self.lq_path_buf) {
+            let Some(victim) = self.store_lq_search(seq, addr) else {
                 self.stats.lq_port_stalls += 1;
                 return StoreIssue::NoLqPort;
-            }
-            self.lq_ports.book(&self.lq_path_buf);
-            self.stats.lq_searches_by_stores += 1;
+            };
             violation = victim;
         }
 
@@ -679,6 +797,11 @@ impl Lsq {
         let front = self.lq.pop_front().expect("commit of empty load queue");
         assert_eq!(front.seq, seq, "loads retire in program order");
         assert!(front.issued, "committing an unissued load");
+        if let Some(runs) = &mut self.lq_runs {
+            runs.pop_front();
+        }
+        self.issued_loads -= 1;
+        self.first_unissued -= 1;
         self.lq_alloc.free(front.place);
         if let Some(lb) = &mut self.lb {
             lb.on_commit(seq);
@@ -728,17 +851,17 @@ impl Lsq {
         let mut violation = None;
         let searches_lq = self.cfg.predictor.detects_at_commit();
         if searches_lq {
-            let victim = self.compute_lq_violation_scan(front.seq, front.addr);
-            if !self.lq_ports.can_book(&self.lq_path_buf) {
+            let Some(victim) = self.store_lq_search(front.seq, front.addr) else {
                 self.stats.commit_port_delays += 1;
                 return StoreDrain::Blocked;
-            }
-            self.lq_ports.book(&self.lq_path_buf);
-            self.stats.lq_searches_by_stores += 1;
+            };
             violation = victim;
         }
 
         self.sq.pop_front();
+        if let Some(runs) = &mut self.sq_runs {
+            runs.pop_front();
+        }
         self.sq_alloc.free(front.place);
         if let Some(ssid) = front.ssid {
             self.pred.on_store_commit(ssid);
@@ -761,14 +884,13 @@ impl Lsq {
     /// another processor would plausibly write (shared data being read).
     // lsq-lint: hot
     pub fn nth_issued_load_addr(&self, n: usize) -> Option<Addr> {
-        let count = self.lq.iter().filter(|l| l.issued).count();
-        if count == 0 {
+        if self.issued_loads == 0 {
             return None;
         }
         self.lq
             .iter()
             .filter(|l| l.issued)
-            .nth(n % count)
+            .nth(n % self.issued_loads)
             .map(|l| l.addr)
     }
 
@@ -806,9 +928,14 @@ impl Lsq {
             }
             // lsq-lint: allow(no-unwrap-in-lib, reason = "squash pops from the tail only while entries remain younger than the victim")
             let e = self.lq.pop_back().expect("non-empty");
+            if let Some(runs) = &mut self.lq_runs {
+                runs.pop_back();
+            }
+            self.issued_loads -= usize::from(e.issued);
             self.lq_alloc.free(e.place);
             oldest_lq = Some(e.place);
         }
+        self.first_unissued = self.first_unissued.min(self.lq.len());
         self.lq_alloc
             .rewind_after_squash(oldest_lq, self.lq.back().map(|e| e.place));
 
@@ -819,6 +946,9 @@ impl Lsq {
             }
             // lsq-lint: allow(no-unwrap-in-lib, reason = "squash pops from the tail only while entries remain younger than the victim")
             let e = self.sq.pop_back().expect("non-empty");
+            if let Some(runs) = &mut self.sq_runs {
+                runs.pop_back();
+            }
             self.sq_alloc.free(e.place);
             oldest_sq = Some(e.place);
             if let Some(ssid) = e.ssid {
@@ -837,15 +967,17 @@ impl Lsq {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// Segment path (youngest segment first) of the last store-queue
-    /// forwarding search; valid until the next `Lsq` call.
+    /// Segment path (youngest segment first) of the store-queue
+    /// forwarding search of the load the last `Lsq` call issued; valid
+    /// until the next `Lsq` call. A refused search may leave an older
+    /// path here.
     pub fn sq_search_path(&self) -> &[usize] {
         &self.sq_path_buf
     }
 
-    /// Segment path of the last load-queue search (a load's ordering
-    /// search or a store's violation search); valid until the next `Lsq`
-    /// call.
+    /// Segment path of the load-queue search (a load's ordering search or
+    /// a store's violation search) the last `Lsq` call booked; valid until
+    /// the next `Lsq` call. A refused search may leave an older path here.
     pub fn lq_search_path(&self) -> &[usize] {
         &self.lq_path_buf
     }
@@ -870,18 +1002,8 @@ impl Lsq {
     /// Number of loads currently issued out of program order (an older
     /// load is still unissued) — the paper's Table 4 metric.
     pub fn out_of_order_issued_loads(&self) -> usize {
-        let mut unissued_seen = false;
-        let mut count = 0;
-        for l in &self.lq {
-            if l.issued {
-                if unissued_seen {
-                    count += 1;
-                }
-            } else {
-                unissued_seen = true;
-            }
-        }
-        count
+        // Every load older than the oldest unissued one has issued.
+        self.issued_loads - self.first_unissued
     }
 
     /// Whether load `seq` is resident and issued.
@@ -1375,6 +1497,125 @@ mod tests {
             }
         ));
         assert_eq!(l.drain_store(), StoreDrain::Idle);
+    }
+
+    /// Four 4-entry segments per queue with ring allocation, so the
+    /// segment of every entry follows from its dispatch order.
+    fn seg4x4(ports: usize) -> LsqConfig {
+        LsqConfig {
+            ports,
+            segmentation: Some(SegConfig {
+                segments: 4,
+                entries_per_segment: 4,
+                alloc: SegAlloc::NoSelfCircular,
+            }),
+            ..LsqConfig::default()
+        }
+    }
+
+    /// Dispatches `n` stores to distinct words: stores `0..4` land in
+    /// SQ segment 0, `4..8` in segment 1.
+    fn disp_stores(l: &mut Lsq, n: u64) {
+        for s in 0..n {
+            disp_store(l, s, 0x1000 + s * 64);
+        }
+    }
+
+    #[test]
+    fn wrapped_search_visits_each_segment_once() {
+        let mut l = lsq(seg4x4(4));
+        l.begin_cycle();
+        disp_stores(&mut l, 16);
+        for s in 0..2 {
+            assert!(matches!(l.store_issue(s), StoreIssue::Issued { .. }));
+            l.store_retire(s);
+            assert!(matches!(l.drain_store(), StoreDrain::Drained { .. }));
+        }
+        // The ring wraps: stores 16 and 17 take the freed slots of
+        // segment 0, which still holds the oldest stores 2 and 3.
+        disp_store(&mut l, 16, 0x2000);
+        disp_store(&mut l, 17, 0x2040);
+        disp_load(&mut l, 18, 0x100);
+        l.begin_cycle();
+        issue_load(&mut l, 18);
+        assert_eq!(l.sq_search_path(), [0, 3, 2, 1]);
+    }
+
+    #[test]
+    fn full_first_segment_refuses_load_before_its_search() {
+        let mut l = lsq(seg4x4(1));
+        l.begin_cycle();
+        disp_stores(&mut l, 8);
+        disp_load(&mut l, 8, 0x100);
+        disp_load(&mut l, 9, 0x140);
+        issue_load(&mut l, 8);
+        assert_eq!(l.sq_search_path(), [1, 0]);
+        // Load 9's search would also start in segment 1, whose only port
+        // load 8 holds this cycle.
+        let stalls = l.stats().sq_port_stalls;
+        assert_eq!(l.load_issue(9), LoadIssue::NoSqPort);
+        assert_eq!(l.stats().sq_port_stalls, stalls + 1);
+        assert!(!l.load_is_issued(9));
+    }
+
+    #[test]
+    fn full_later_segment_refuses_load_despite_free_first_segment() {
+        let mut l = lsq(seg4x4(1));
+        l.begin_cycle();
+        disp_stores(&mut l, 8);
+        disp_load(&mut l, 8, 0x100);
+        // Another search holds segment 0's only port next cycle, when this
+        // load's path [1, 0] reaches it; segment 1 is free now.
+        l.sq_ports.book(&[2, 0]);
+        assert_eq!(l.sq_ports.free_now(1), 1);
+        let stalls = l.stats().sq_port_stalls;
+        assert_eq!(l.load_issue(8), LoadIssue::NoSqPort);
+        assert_eq!(l.stats().sq_port_stalls, stalls + 1);
+        assert!(!l.load_is_issued(8));
+        l.begin_cycle();
+        issue_load(&mut l, 8);
+        assert_eq!(l.sq_search_path(), [1, 0]);
+    }
+
+    #[test]
+    fn full_first_segment_refuses_store_violation_search() {
+        let mut l = lsq(seg4x4(1));
+        l.begin_cycle();
+        disp_store(&mut l, 0, 0x100);
+        disp_load(&mut l, 1, 0x200);
+        disp_load(&mut l, 2, 0x300);
+        // Load 1's load-load search takes LQ segment 0, where the store's
+        // violation search over loads 1 and 2 would start.
+        issue_load(&mut l, 1);
+        assert_eq!(l.lq_search_path(), [0]);
+        let stalls = l.stats().lq_port_stalls;
+        assert_eq!(l.store_issue(0), StoreIssue::NoLqPort);
+        assert_eq!(l.stats().lq_port_stalls, stalls + 1);
+        assert!(!l.store_is_issued(0));
+    }
+
+    #[test]
+    fn full_first_segment_blocks_commit_time_search() {
+        let mut l = lsq(LsqConfig {
+            predictor: PredictorKind::Pair,
+            ..seg4x4(1)
+        });
+        l.begin_cycle();
+        disp_store(&mut l, 0, 0x100);
+        disp_load(&mut l, 1, 0x200);
+        disp_load(&mut l, 2, 0x300);
+        assert!(matches!(l.store_issue(0), StoreIssue::Issued { .. }));
+        issue_load(&mut l, 1); // takes LQ segment 0's only port
+        l.store_retire(0);
+        let delays = l.stats().commit_port_delays;
+        assert_eq!(l.drain_store(), StoreDrain::Blocked);
+        assert_eq!(l.stats().commit_port_delays, delays + 1);
+        assert_eq!(l.sq_occupancy(), 1, "a blocked store stays resident");
+        l.begin_cycle();
+        assert!(matches!(
+            l.drain_store(),
+            StoreDrain::Drained { seq: 0, .. }
+        ));
     }
 
     #[test]

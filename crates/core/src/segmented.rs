@@ -261,13 +261,6 @@ impl PortBook {
         self.book(path);
         true
     }
-
-    /// Clears all reservations (used when the pipeline squashes).
-    pub fn clear(&mut self) {
-        for cycle in &mut self.window {
-            cycle.fill(0);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -491,11 +484,15 @@ mod tests {
         }
 
         #[test]
-        fn clear_releases_everything() {
+        fn reservations_expire_after_the_window() {
+            // A search books at most `segments` cycles ahead, so after
+            // that many cycles every port is free again.
             let mut b = PortBook::new(2, 1);
             assert!(b.try_book(&[0]));
             assert!(b.try_book(&[1, 0]));
-            b.clear();
+            b.begin_cycle();
+            assert_eq!(b.free_now(0), 0, "[1, 0] holds segment 0 a cycle later");
+            b.begin_cycle();
             assert!(b.try_book(&[0]));
             assert!(b.try_book(&[1, 0]));
         }

@@ -11,9 +11,14 @@
 //!   exactly the oracle's oldest premature load;
 //! * queue occupancies must match the shadow's;
 //! * the load buffer must hold exactly the loads issued past an older
-//!   unissued load, never exceeding its capacity.
+//!   unissued load, never exceeding its capacity;
+//! * every search's segment path must match a walk over the shadow's own
+//!   placements, which it makes with its own [`SegmentedAlloc`]s.
 
-use lsq_core::{LoadIssue, LoadOrderPolicy, Lsq, LsqConfig, StoreDrain, StoreIssue};
+use lsq_core::{
+    LoadIssue, LoadOrderPolicy, Lsq, LsqConfig, Placement, SegAlloc, SegConfig, SegmentedAlloc,
+    StoreDrain, StoreIssue,
+};
 use lsq_isa::{Addr, Pc};
 use proptest::prelude::*;
 
@@ -25,18 +30,51 @@ struct ShadowOp {
     issued: bool,
     retired: bool,
     forwarded_from: Option<u64>,
+    place: Placement,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shadow {
     ops: Vec<ShadowOp>,
     next_seq: u64,
+    lq_alloc: SegmentedAlloc,
+    sq_alloc: SegmentedAlloc,
 }
 
 impl Shadow {
+    fn new(cfg: &LsqConfig) -> Self {
+        let alloc = |entries| match cfg.segmentation {
+            Some(seg) => SegmentedAlloc::new(seg.segments, seg.entries_per_segment, seg.alloc),
+            None => SegmentedAlloc::unsegmented(entries),
+        };
+        Self {
+            ops: Vec::new(),
+            next_seq: 0,
+            lq_alloc: alloc(cfg.lq_entries),
+            sq_alloc: alloc(cfg.sq_entries),
+        }
+    }
+
+    fn alloc_mut(&mut self, is_load: bool) -> &mut SegmentedAlloc {
+        if is_load {
+            &mut self.lq_alloc
+        } else {
+            &mut self.sq_alloc
+        }
+    }
+
+    fn can_dispatch(&self, is_load: bool) -> bool {
+        if is_load {
+            self.lq_alloc.can_allocate()
+        } else {
+            self.sq_alloc.can_allocate()
+        }
+    }
+
     fn dispatch(&mut self, is_load: bool, addr: Addr) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let place = self.alloc_mut(is_load).allocate().expect("can_dispatch");
         self.ops.push(ShadowOp {
             seq,
             is_load,
@@ -44,8 +82,15 @@ impl Shadow {
             issued: false,
             retired: false,
             forwarded_from: None,
+            place,
         });
         seq
+    }
+
+    /// Removes the oldest op (commit of a load, drain of a store).
+    fn retire_head(&mut self) {
+        let head = self.ops.remove(0);
+        self.alloc_mut(head.is_load).free(head.place);
     }
 
     fn get_mut(&mut self, seq: u64) -> &mut ShadowOp {
@@ -74,7 +119,79 @@ impl Shadow {
             .map(|o| o.seq)
     }
 
+    /// Segment of the youngest resident load or store (0 when none): where
+    /// a search with nothing to walk starts.
+    fn tail_segment(&self, is_load: bool) -> usize {
+        self.ops
+            .iter()
+            .rev()
+            .find(|o| o.is_load == is_load)
+            .map_or(0, |o| o.place.segment)
+    }
+
+    /// A load's store-queue search path: distinct segments of the older
+    /// stores, youngest first, ending at the forwarding source's segment.
+    fn sq_path(&self, seq: u64, addr: Addr) -> Vec<usize> {
+        let source = self.forwarding_source(seq, addr);
+        let mut path = Vec::new();
+        for o in self.ops.iter().rev().filter(|o| !o.is_load && o.seq < seq) {
+            if !path.contains(&o.place.segment) {
+                path.push(o.place.segment);
+            }
+            if Some(o.seq) == source {
+                break;
+            }
+        }
+        if path.is_empty() {
+            path.push(self.tail_segment(false));
+        }
+        path
+    }
+
+    /// A load-queue search path over the loads younger than `seq`:
+    /// distinct segments, oldest first, ending at `stop`'s segment.
+    fn lq_path(&self, seq: u64, stop: Option<u64>) -> Vec<usize> {
+        let mut path = Vec::new();
+        for o in self.ops.iter().filter(|o| o.is_load && o.seq > seq) {
+            if !path.contains(&o.place.segment) {
+                path.push(o.place.segment);
+            }
+            if Some(o.seq) == stop {
+                break;
+            }
+        }
+        if path.is_empty() {
+            path.push(self.tail_segment(true));
+        }
+        path
+    }
+
+    /// Squashes every op from `seq` on, freeing and rewinding the
+    /// allocators the way the queue does.
     fn squash_from(&mut self, seq: u64) {
+        for is_load in [true, false] {
+            let mut oldest_squashed = None;
+            let mut youngest_surviving = None;
+            for o in self.ops.iter().rev().filter(|o| o.is_load == is_load) {
+                if o.seq >= seq {
+                    oldest_squashed = Some(o.place);
+                } else {
+                    youngest_surviving = Some(o.place);
+                    break;
+                }
+            }
+            let squashed: Vec<Placement> = self
+                .ops
+                .iter()
+                .filter(|o| o.is_load == is_load && o.seq >= seq)
+                .map(|o| o.place)
+                .collect();
+            let alloc = self.alloc_mut(is_load);
+            for p in squashed {
+                alloc.free(p);
+            }
+            alloc.rewind_after_squash(oldest_squashed, youngest_surviving);
+        }
         self.ops.retain(|o| o.seq < seq);
         self.next_seq = seq;
     }
@@ -139,10 +256,24 @@ fn lsq_config(lb: Option<usize>) -> LsqConfig {
     }
 }
 
+/// Four 4-entry segments per queue: as many entries as the unsegmented
+/// cases, with searches long enough to cross every segment.
+fn segmented_config(alloc: SegAlloc) -> LsqConfig {
+    LsqConfig {
+        segmentation: Some(SegConfig {
+            segments: 4,
+            entries_per_segment: 4,
+            alloc,
+        }),
+        ..lsq_config(None)
+    }
+}
+
 /// Runs one random scenario; returns the number of issues checked.
-fn run_scenario(actions: &[Action], lb: Option<usize>) -> usize {
-    let mut lsq = Lsq::new(lsq_config(lb)).expect("valid config");
-    let mut shadow = Shadow::default();
+fn run_scenario(actions: &[Action], cfg: LsqConfig) -> usize {
+    let lb = cfg.load_order.buffer_entries();
+    let mut shadow = Shadow::new(&cfg);
+    let mut lsq = Lsq::new(cfg).expect("valid config");
     // A small address pool maximizes aliasing.
     let pool = [0x100u64, 0x108, 0x110, 0x200, 0x208];
     let mut checked = 0;
@@ -157,6 +288,7 @@ fn run_scenario(actions: &[Action], lb: Option<usize>) -> usize {
                 } else {
                     lsq.can_dispatch_store()
                 };
+                assert_eq!(can, shadow.can_dispatch(is_load), "allocation mirror");
                 if !can {
                     continue;
                 }
@@ -184,6 +316,21 @@ fn run_scenario(actions: &[Action], lb: Option<usize>) -> usize {
                                 "forwarding mismatch for load {}",
                                 pick.seq
                             );
+                            assert!(iss.searched_sq, "no predictor: every load searches");
+                            assert_eq!(
+                                lsq.sq_search_path(),
+                                shadow.sq_path(pick.seq, pick.addr),
+                                "SQ path of load {}",
+                                pick.seq
+                            );
+                            if iss.searched_lq {
+                                assert_eq!(
+                                    lsq.lq_search_path(),
+                                    shadow.lq_path(pick.seq, None),
+                                    "LQ path of load {}",
+                                    pick.seq
+                                );
+                            }
                             let s = shadow.get_mut(pick.seq);
                             s.issued = true;
                             s.forwarded_from = iss.forwarded_from;
@@ -204,6 +351,12 @@ fn run_scenario(actions: &[Action], lb: Option<usize>) -> usize {
                             assert_eq!(
                                 violation, expect,
                                 "violation mismatch for store {}",
+                                pick.seq
+                            );
+                            assert_eq!(
+                                lsq.lq_search_path(),
+                                shadow.lq_path(pick.seq, violation),
+                                "LQ path of store {}",
                                 pick.seq
                             );
                             shadow.get_mut(pick.seq).issued = true;
@@ -227,7 +380,7 @@ fn run_scenario(actions: &[Action], lb: Option<usize>) -> usize {
                 }
                 if head.is_load {
                     lsq.commit_load(head.seq);
-                    shadow.ops.remove(0);
+                    shadow.retire_head();
                 } else {
                     if !head.retired {
                         lsq.store_retire(head.seq);
@@ -240,7 +393,7 @@ fn run_scenario(actions: &[Action], lb: Option<usize>) -> usize {
                                 violation, None,
                                 "conventional scheme detects at execute, not drain"
                             );
-                            shadow.ops.remove(0);
+                            shadow.retire_head();
                         }
                         other => panic!("drain failed: {other:?}"),
                     }
@@ -288,7 +441,7 @@ proptest! {
     /// Conventional LSQ vs the oracle.
     #[test]
     fn conventional_matches_oracle(actions in prop::collection::vec(action_strategy(), 1..160)) {
-        run_scenario(&actions, None);
+        run_scenario(&actions, lsq_config(None));
     }
 
     /// Load-buffer LSQ vs the oracle, buffer sizes 1/2/4.
@@ -297,7 +450,21 @@ proptest! {
         actions in prop::collection::vec(action_strategy(), 1..160),
         cap in 1usize..5,
     ) {
-        run_scenario(&actions, Some(cap));
+        run_scenario(&actions, lsq_config(Some(cap)));
+    }
+
+    /// Segmented (4 × 4) LSQ vs the oracle, ring allocation.
+    #[test]
+    fn segmented_ring_matches_oracle(actions in prop::collection::vec(action_strategy(), 1..160)) {
+        run_scenario(&actions, segmented_config(SegAlloc::NoSelfCircular));
+    }
+
+    /// Segmented (4 × 4) LSQ vs the oracle, self-circular allocation.
+    #[test]
+    fn segmented_self_circular_matches_oracle(
+        actions in prop::collection::vec(action_strategy(), 1..160),
+    ) {
+        run_scenario(&actions, segmented_config(SegAlloc::SelfCircular));
     }
 }
 
@@ -329,6 +496,6 @@ fn deterministic_mixed_scenario() {
         CommitHead,
         Squash(0),
     ];
-    let checked = run_scenario(&actions, None);
+    let checked = run_scenario(&actions, lsq_config(None));
     assert!(checked >= 2);
 }
