@@ -255,26 +255,51 @@ fn caches(c: &mut Criterion) {
             black_box(hits)
         })
     });
+    // The Table 1 L2 over a 32x larger footprint: nearly every access
+    // misses and replaces, so the set/tag split and victim scan dominate.
+    g.bench_function("l2_access_miss_heavy", |b| {
+        let mut cache = Cache::new(CacheConfig {
+            size_bytes: 2 << 20,
+            ways: 8,
+            block_bytes: 64,
+            hit_latency: 12,
+        });
+        let mut rng = Xoshiro256::seed_from_u64(2);
+        b.iter(|| {
+            let mut hits = 0u64;
+            for _ in 0..OPS {
+                let addr = Addr(rng.range_u64(64 << 20));
+                if cache.access(addr, false) {
+                    hits += 1;
+                }
+            }
+            black_box(hits)
+        })
+    });
     g.finish();
 }
 
 fn ring_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("ring_queue");
     g.throughput(Throughput::Elements(OPS));
-    g.bench_function("push_get_pop", |b| {
-        b.iter(|| {
-            let mut q: RingQueue<u64> = RingQueue::new(256);
-            let mut acc = 0u64;
-            for i in 0..OPS {
-                if q.is_full() {
-                    acc ^= q.pop().expect("full queue pops").1;
+    // 256 entries fill the slot storage exactly; 255 leaves one of the
+    // 256 power-of-two slots unused.
+    for (name, capacity) in [("push_get_pop", 256), ("push_get_pop_cap255", 255)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut q: RingQueue<u64> = RingQueue::new(capacity);
+                let mut acc = 0u64;
+                for i in 0..OPS {
+                    if q.is_full() {
+                        acc ^= q.pop().expect("full queue pops").1;
+                    }
+                    let seq = q.push(i).expect("not full");
+                    acc ^= *q.get(seq).expect("just pushed");
                 }
-                let seq = q.push(i).expect("not full");
-                acc ^= *q.get(seq).expect("just pushed");
-            }
-            black_box(acc)
-        })
-    });
+                black_box(acc)
+            })
+        });
+    }
     g.finish();
 }
 

@@ -327,12 +327,23 @@ impl Lsq {
         &self.stats
     }
 
-    /// Advances port bookkeeping to the next cycle. Call exactly once per
-    /// simulated cycle, before any issue/commit calls for that cycle.
+    /// Advances port bookkeeping to the next cycle. Call it once for
+    /// each simulated cycle that runs, before any issue/commit calls for
+    /// that cycle; cycles skipped without running go through
+    /// [`Self::advance`] instead.
     // lsq-lint: hot
     pub fn begin_cycle(&mut self) {
         self.lq_ports.begin_cycle();
         self.sq_ports.begin_cycle();
+    }
+
+    /// Advances port bookkeeping over `cycles` cycles in which nothing
+    /// searched the queues, exactly as that many [`Self::begin_cycle`]
+    /// calls would.
+    // lsq-lint: hot
+    pub fn advance(&mut self, cycles: u64) {
+        self.lq_ports.advance(cycles);
+        self.sq_ports.advance(cycles);
     }
 
     // ------------------------------------------------------------------

@@ -203,13 +203,22 @@ impl PortBook {
 
     /// Advances to the next cycle: reservations for the old current cycle
     /// expire and a fresh farthest-future cycle opens. The expired row is
-    /// recycled as the new one, so this runs every simulated cycle without
+    /// recycled as the new one, so this runs every stepped cycle without
     /// allocating.
     pub fn begin_cycle(&mut self) {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the sliding window always holds at least the current segment row")
         let mut row = self.window.pop_front().expect("window is never empty");
         row.fill(0);
         self.window.push_back(row);
+    }
+
+    /// Advances `cycles` cycles at once, as that many
+    /// [`Self::begin_cycle`] calls would. The window is only as deep as
+    /// the segment chain, so any jump at least that long frees every row.
+    pub fn advance(&mut self, cycles: u64) {
+        for _ in 0..cycles.min(self.window.len() as u64) {
+            self.begin_cycle();
+        }
     }
 
     /// Ports still free in `segment` this cycle.
@@ -495,6 +504,40 @@ mod tests {
             b.begin_cycle();
             assert!(b.try_book(&[0]));
             assert!(b.try_book(&[1, 0]));
+        }
+
+        #[test]
+        fn advancing_past_the_window_frees_every_row() {
+            let (segments, ports) = (4, 2);
+            let full = |b: &mut PortBook| {
+                for seg in 0..segments {
+                    let path = vec![seg; segments];
+                    while b.try_book(&path) {}
+                }
+            };
+            for k in [segments as u64, segments as u64 + 1, 1_000] {
+                let mut b = PortBook::new(segments, ports);
+                full(&mut b);
+                b.advance(k);
+                for seg in 0..segments {
+                    assert_eq!(b.free_now(seg), ports);
+                    for _ in 0..ports {
+                        assert!(b.try_book(&vec![seg; segments]), "k {k} seg {seg}");
+                    }
+                }
+            }
+            // A shorter jump is the same as stepping cycle by cycle.
+            for k in 0..segments as u64 {
+                let mut stepped = PortBook::new(segments, ports);
+                stepped.try_book(&[0, 1, 2, 3]);
+                stepped.try_book(&[3, 3]);
+                let mut jumped = stepped.clone();
+                for _ in 0..k {
+                    stepped.begin_cycle();
+                }
+                jumped.advance(k);
+                assert_eq!(format!("{stepped:?}"), format!("{jumped:?}"));
+            }
         }
 
         #[test]

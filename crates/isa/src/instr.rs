@@ -48,7 +48,7 @@ impl Addr {
     #[inline]
     pub fn block(self, block_bytes: u64) -> u64 {
         debug_assert!(block_bytes.is_power_of_two());
-        self.0 / block_bytes
+        self.0 >> block_bytes.trailing_zeros()
     }
 
     /// Whether two addresses access the same 8-byte word.

@@ -83,7 +83,12 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: usize,
+    /// `log2(block_bytes)`: block address = byte address >> this.
+    block_shift: u32,
+    /// `sets - 1`: set index = block address & this.
+    set_mask: u64,
+    /// `log2(sets)`: tag = block address >> this.
+    set_shift: u32,
     lines: Vec<Line>,
     stamp: u64,
     stats: CacheStats,
@@ -97,10 +102,14 @@ impl Cache {
     /// Panics if the configuration geometry is inconsistent (see
     /// [`CacheConfig::sets`]).
     pub fn new(cfg: CacheConfig) -> Self {
+        // `sets()` asserts power-of-two size and block, so the set count
+        // is a power of two too and indexing needs no division.
         let sets = cfg.sets();
         Self {
             cfg,
-            sets,
+            block_shift: cfg.block_bytes.trailing_zeros(),
+            set_mask: sets as u64 - 1,
+            set_shift: sets.trailing_zeros(),
             lines: vec![Line::default(); sets * cfg.ways],
             stamp: 0,
             stats: CacheStats::default(),
@@ -119,11 +128,8 @@ impl Cache {
 
     #[inline]
     fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
-        let block = addr.block(self.cfg.block_bytes);
-        (
-            (block % self.sets as u64) as usize,
-            block / self.sets as u64,
-        )
+        let block = addr.0 >> self.block_shift;
+        ((block & self.set_mask) as usize, block >> self.set_shift)
     }
 
     /// Accesses `addr`; returns `true` on a hit. On a miss the block is
@@ -297,6 +303,26 @@ mod tests {
         }
         c.access(Addr(4 * 16), false);
         assert!(!c.probe(Addr(0))); // LRU was block 0
+    }
+
+    #[test]
+    fn shift_and_mask_indexing_matches_division_on_table1_geometries() {
+        let t1 = crate::HierarchyConfig::default();
+        let mut rng = lsq_util::rng::Xoshiro256::seed_from_u64(7);
+        for cfg in [t1.l1i, t1.l1d, t1.l2] {
+            let c = Cache::new(cfg);
+            let sets = cfg.sets() as u64;
+            for _ in 0..10_000 {
+                let a = rng.next_u64();
+                let block = a / cfg.block_bytes;
+                assert_eq!(Addr(a).block(cfg.block_bytes), block);
+                assert_eq!(
+                    c.set_and_tag(Addr(a)),
+                    ((block % sets) as usize, block / sets),
+                    "{cfg:?} addr {a:#x}"
+                );
+            }
+        }
     }
 
     #[test]

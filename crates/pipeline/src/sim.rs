@@ -181,7 +181,6 @@ pub struct Simulator<P: Probe = NopProbe> {
     lq_occ: RunningMean,
     sq_occ: RunningMean,
     ooo_loads: RunningMean,
-    inflight_loads: RunningMean,
 }
 
 impl Simulator {
@@ -245,7 +244,6 @@ impl<P: Probe> Simulator<P> {
             lq_occ: RunningMean::new(),
             sq_occ: RunningMean::new(),
             ooo_loads: RunningMean::new(),
-            inflight_loads: RunningMean::new(),
             cfg,
         }
     }
@@ -300,6 +298,12 @@ impl<P: Probe> Simulator<P> {
             .saturating_add(max_instrs.saturating_mul(self.cfg.cycle_cap_per_instr))
             .saturating_add(10_000);
         let mut hit_cap = false;
+        // Idle cycles can be jumped over only when nothing observes them
+        // cycle by cycle: no per-cycle probe hooks, no invalidation RNG
+        // draw, and the event scheduler (the polling reference steps
+        // every cycle, so it stays an independent check of the jump).
+        let skip_idle =
+            !self.probe.enabled() && self.cfg.invalidation_rate <= 0.0 && self.polling_iq.is_none();
         while self.committed < target {
             // Done only when the trace is exhausted AND no fetched
             // instruction is left in flight or awaiting refetch (the
@@ -308,6 +312,12 @@ impl<P: Probe> Simulator<P> {
             // right after an end-of-trace squash).
             if self.stream_done && self.replay.is_empty() {
                 break;
+            }
+            // Only right before a step that runs: jumping after the step
+            // that ends a `run` would move cycles across the boundary
+            // between warm-up and measured runs.
+            if skip_idle {
+                self.skip_idle_cycles(cycle_cap);
             }
             self.step(stream);
             if self.cycle >= cycle_cap {
@@ -349,7 +359,7 @@ impl<P: Probe> Simulator<P> {
         self.timed(Phase::WakeupIssue, |s| s.issue());
         self.timed(Phase::Dispatch, |s| s.dispatch());
         self.timed(Phase::Fetch, |s| s.fetch(stream));
-        self.sample();
+        self.sample(1);
         if self.probe.enabled() {
             self.account_cycle();
             let stats = self.lsq.stats();
@@ -472,12 +482,82 @@ impl<P: Probe> Simulator<P> {
         }
     }
 
-    fn sample(&mut self) {
-        self.lq_occ.record(self.lsq.lq_occupancy() as f64);
-        self.sq_occ.record(self.lsq.sq_occupancy() as f64);
+    /// Records the occupancy samples of `cycles` cycles that all end in
+    /// the current state.
+    fn sample(&mut self, cycles: u64) {
+        self.lq_occ.record_n(self.lsq.lq_occupancy() as f64, cycles);
+        self.sq_occ.record_n(self.lsq.sq_occupancy() as f64, cycles);
         self.ooo_loads
-            .record(self.lsq.out_of_order_issued_loads() as f64);
-        self.inflight_loads.record(self.lsq.lq_occupancy() as f64);
+            .record_n(self.lsq.out_of_order_issued_loads() as f64, cycles);
+    }
+
+    // ------------------------------------------------------------------
+    // Time advance
+    // ------------------------------------------------------------------
+
+    /// The earliest cycle after the current one in which a step can
+    /// change anything, or `u64::MAX` when nothing is pending. Valid
+    /// only between steps, with the event scheduler and no invalidation
+    /// injection; each stage's early-outs are mirrored here:
+    ///
+    /// * issue acts once `ready` is non-empty or the calendar's first
+    ///   wakeup comes due;
+    /// * drain acts while a retired store waits; commit acts once the
+    ///   ROB head has issued and its result is due (a head still waiting
+    ///   changes only through issue);
+    /// * dispatch acts once the frontend head is available and the ROB,
+    ///   the IQ and its LQ/SQ have room (otherwise only commit or issue
+    ///   can make room);
+    /// * fetch acts once `fetch_resume_at` has passed, if no branch
+    ///   redirect is pending and the frontend has room.
+    // lsq-lint: hot
+    fn next_active_cycle(&self) -> u64 {
+        let now = self.cycle + 1;
+        // Something to issue, or any retired store waiting to drain.
+        if !self.ready.is_empty() || self.lsq.has_undrained_store_before(u64::MAX) {
+            return now;
+        }
+        let mut next = u64::MAX;
+        if let Some(&Reverse((at, _))) = self.calendar.peek() {
+            next = next.min(at);
+        }
+        if let Some(e) = self.rob.front() {
+            if e.state == State::Issued {
+                next = next.min(e.complete_at);
+            }
+        }
+        if let Some(f) = self.frontend.front() {
+            let room = !self.rob.is_full()
+                && self.iq_len < self.cfg.iq_entries
+                && match f.instr.kind {
+                    InstrKind::Load => self.lsq.can_dispatch_load(),
+                    InstrKind::Store => self.lsq.can_dispatch_store(),
+                    _ => true,
+                };
+            if room {
+                next = next.min(f.avail_at);
+            }
+        }
+        if self.pending_redirect.is_none() && self.frontend.len() < 2 * self.cfg.fetch_width {
+            next = next.min(self.fetch_resume_at);
+        }
+        next.max(now)
+    }
+
+    /// Jumps the clock to the cycle before the next active one (at most
+    /// to the cycle before `cycle_cap`, so the capped step still runs),
+    /// doing in one go what the skipped steps would have done: rotate
+    /// the LSQ port books and sample the unchanged occupancies.
+    // lsq-lint: hot
+    fn skip_idle_cycles(&mut self, cycle_cap: u64) {
+        let to = self.next_active_cycle().min(cycle_cap) - 1;
+        if to <= self.cycle {
+            return;
+        }
+        let skipped = to - self.cycle;
+        self.cycle = to;
+        self.lsq.advance(skipped);
+        self.sample(skipped);
     }
 
     /// Injects external coherence invalidations (§2.2 scheme 2): with the
@@ -1081,7 +1161,7 @@ impl<P: Probe> Simulator<P> {
             };
             // Instruction cache: accessing a new block may miss and stall
             // fetch for the extra latency.
-            let block = instr.pc.0 / i_block;
+            let block = Addr(instr.pc.0).block(i_block);
             if self.cur_fetch_block != Some(block) {
                 let lat = self.access(Addr(instr.pc.0), false, true).latency;
                 self.cur_fetch_block = Some(block);
@@ -1210,7 +1290,9 @@ impl<P: Probe> Simulator<P> {
             lq_occupancy: self.lq_occ.mean(),
             sq_occupancy: self.sq_occ.mean(),
             ooo_issued_loads: self.ooo_loads.mean(),
-            inflight_loads: self.inflight_loads.mean(),
+            // The LQ holds exactly the in-flight loads, so both report
+            // one mean.
+            inflight_loads: self.lq_occ.mean(),
             lsq: self.lsq.stats().clone(),
             l1d_miss_rate: self.mem.l1d_stats().miss_rate(),
             l2_miss_rate: self.mem.l2_stats().miss_rate(),

@@ -22,6 +22,16 @@ impl RunningMean {
         self.n += 1;
     }
 
+    /// Adds `k` samples of `value` at once. Bitwise equal to `k` calls of
+    /// [`Self::record`] while `value * k` and the running sum are integers
+    /// below 2^53 (every partial sum is then exact), which holds for the
+    /// simulator's queue-occupancy samples.
+    #[inline]
+    pub fn record_n(&mut self, value: f64, k: u64) {
+        self.sum += value * k as f64;
+        self.n += k;
+    }
+
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.n
@@ -224,6 +234,23 @@ mod tests {
         }
         assert_eq!(m.mean(), 2.5);
         assert_eq!(m.count(), 4);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record_for_integers() {
+        let mut rng = lsq_util::rng::Xoshiro256::seed_from_u64(3);
+        let (mut bulk, mut single) = (RunningMean::new(), RunningMean::new());
+        for _ in 0..2_000 {
+            let v = rng.range_u64(256) as f64;
+            let k = rng.range_u64(300);
+            bulk.record_n(v, k);
+            for _ in 0..k {
+                single.record(v);
+            }
+            assert_eq!(bulk.count(), single.count());
+            assert_eq!(bulk.sum.to_bits(), single.sum.to_bits());
+            assert_eq!(bulk.mean().to_bits(), single.mean().to_bits());
+        }
     }
 
     #[test]

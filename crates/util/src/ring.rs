@@ -28,7 +28,14 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct RingQueue<T> {
+    /// Slot storage, rounded up to a power of two so that a sequence
+    /// number maps to its slot with a mask instead of a division.
     slots: Vec<Option<T>>,
+    /// `slots.len() - 1`.
+    mask: u64,
+    /// Logical capacity: at most this many elements are held, however
+    /// many slots back them.
+    capacity: usize,
     /// Sequence number of the head (oldest) element.
     head: u64,
     /// Sequence number the next push will receive.
@@ -43,8 +50,11 @@ impl<T> RingQueue<T> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RingQueue capacity must be non-zero");
+        let len = capacity.next_power_of_two();
         Self {
-            slots: (0..capacity).map(|_| None).collect(),
+            slots: (0..len).map(|_| None).collect(),
+            mask: len as u64 - 1,
+            capacity,
             head: 0,
             tail: 0,
         }
@@ -65,13 +75,13 @@ impl<T> RingQueue<T> {
     /// Whether the queue is at capacity.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len() == self.slots.len()
+        self.len() == self.capacity
     }
 
     /// Total capacity.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Free slots remaining.
@@ -94,7 +104,7 @@ impl<T> RingQueue<T> {
 
     #[inline]
     fn slot_of(&self, seq: u64) -> usize {
-        (seq % self.slots.len() as u64) as usize
+        (seq & self.mask) as usize
     }
 
     /// Pushes an element at the tail, returning its sequence number, or
@@ -181,17 +191,19 @@ impl<T> RingQueue<T> {
     /// Iterates over `(sequence, &mut element)` pairs oldest → youngest.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
         let head = self.head;
-        let cap = self.slots.len() as u64;
+        let mask = self.mask;
         let len = self.len();
         // Split via raw pointer: sequence→slot mapping never aliases within
-        // head..tail because len <= capacity.
+        // head..tail because len <= capacity <= slots.
         let base = self.slots.as_mut_ptr();
         (0..len).map(move |i| {
             let seq = head + i as u64;
-            let slot = (seq % cap) as usize;
-            // SAFETY: each slot index in head..tail is distinct (len <=
-            // capacity) so we hand out at most one &mut per slot, and the
-            // iterator borrows self mutably for its whole lifetime.
+            let slot = (seq & mask) as usize;
+            // SAFETY: each slot index in head..tail is distinct (at most
+            // len <= capacity <= slots.len() consecutive seqs, masked by
+            // slots.len() - 1) and in bounds, so we hand out at most one
+            // &mut per slot, and the iterator borrows self mutably for
+            // its whole lifetime.
             // lsq-lint: allow(no-unwrap-in-lib, reason = "live-range slots are occupied (same invariant the unsafe block documents)")
             let r = unsafe { (*base.add(slot)).as_mut().expect("occupied slot") };
             (seq, r)
@@ -330,6 +342,49 @@ mod tests {
         q.push(5);
         assert_eq!(q.head_seq(), Some(0));
         assert_eq!(q.front(), Some(&5));
+    }
+
+    #[test]
+    fn odd_capacities_keep_their_logical_size_across_wraparounds() {
+        // Slots round up to a power of two; the queue must still fill at
+        // exactly `capacity` and map every live seq to its own value.
+        for cap in [1usize, 3, 100, 255] {
+            let mut q = RingQueue::new(cap);
+            let mut model = std::collections::VecDeque::new();
+            let mut next = 0u64;
+            for round in 0..7u64 {
+                while !q.is_full() {
+                    assert_eq!(q.push(next * 10), Some(next));
+                    model.push_back(next);
+                    next += 1;
+                }
+                assert_eq!(q.capacity(), cap);
+                assert_eq!(q.len(), cap);
+                assert_eq!(q.free(), 0);
+                assert_eq!(q.push(0), None, "cap {cap}: full at its capacity");
+                // Pop a varying share, then squash part of the rest.
+                for _ in 0..=(round as usize * 37) % cap {
+                    let s = model.pop_front().unwrap();
+                    assert_eq!(q.pop(), Some((s, s * 10)));
+                }
+                if let Some(&mid) = model.get(model.len() / 2) {
+                    let removed = model.len() - model.len() / 2;
+                    assert_eq!(q.truncate_from(mid), removed);
+                    model.truncate(model.len() / 2);
+                    next = mid;
+                }
+                assert_eq!(q.len(), model.len());
+                assert_eq!(q.free(), cap - model.len());
+                assert!(!q.is_full());
+                for &s in &model {
+                    assert_eq!(q.get(s), Some(&(s * 10)), "cap {cap} seq {s}");
+                }
+                assert_eq!(q.get(next), None);
+                assert!(model
+                    .front()
+                    .is_none_or(|&h| h == 0 || q.get(h - 1).is_none()));
+            }
+        }
     }
 
     #[test]

@@ -212,3 +212,44 @@ fn mcf_schedulers_agree() {
 fn mgrid_schedulers_agree() {
     assert_equivalent("mgrid");
 }
+
+// The polling reference steps every cycle; the event scheduler jumps the
+// clock over cycles in which nothing can happen. On these memory-bound
+// benchmarks most cycles are jumped, so agreement pins the jump.
+
+#[test]
+fn art_schedulers_agree() {
+    assert_equivalent("art");
+}
+
+#[test]
+fn ammp_schedulers_agree() {
+    assert_equivalent("ammp");
+}
+
+/// A jump must stop at the cycle cap exactly where stepping stops.
+#[test]
+fn schedulers_agree_at_the_cycle_cap() {
+    for (label, lsq_cfg) in design_points() {
+        let capped = |polling: bool| {
+            let profile = BenchProfile::named("art").expect("known benchmark");
+            let mut stream = profile.stream(1);
+            let mut cfg = SimConfig::with_lsq(lsq_cfg);
+            cfg.cycle_cap_per_instr = 1;
+            let mut sim = Simulator::new(cfg);
+            if polling {
+                sim.set_reference_scheduler();
+            }
+            sim.prewarm(&stream.data_regions(), stream.code_region());
+            sim.run(&mut stream, 3 * INSTRS)
+        };
+        let (event, polling) = (capped(false), capped(true));
+        assert!(event.hit_cycle_cap, "art/{label}: budget too loose to cap");
+        assert_eq!(
+            (event.cycles, event.hit_cycle_cap),
+            (polling.cycles, polling.hit_cycle_cap),
+            "art/{label}: capped runs stopped at different cycles"
+        );
+        assert_eq!(format!("{event:?}"), format!("{polling:?}"), "art/{label}");
+    }
+}
