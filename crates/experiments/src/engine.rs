@@ -98,54 +98,12 @@ impl Job {
 struct JobRecord {
     job: Job,
     cached: bool,
-    wall_nanos: u64,
-    cycles: u64,
-    committed: u64,
-    ipc: f64,
-    sim_mips: f64,
-    violations: u64,
-    commit_violations: u64,
-    useless_searches: u64,
-    load_load_violations: u64,
-    violation_squashes: u64,
-    instructions_squashed: u64,
-    sq_port_stalls: u64,
-    lq_port_stalls: u64,
-    commit_port_delays: u64,
-    capped: bool,
-    profile: Option<PhaseProfile>,
-    cpi_stack: Option<CpiStack>,
-    stage_latency: Option<StageLatency>,
+    result: SimResult,
 }
 
 impl JobRecord {
-    fn from_result(job: Job, cached: bool, r: &SimResult) -> Self {
-        Self {
-            job,
-            cached,
-            wall_nanos: r.wall_nanos,
-            cycles: r.cycles,
-            committed: r.committed,
-            ipc: r.ipc(),
-            sim_mips: r.sim_mips,
-            violations: r.lsq.violations,
-            commit_violations: r.lsq.commit_violations,
-            useless_searches: r.lsq.useless_searches,
-            load_load_violations: r.lsq.load_load_violations,
-            violation_squashes: r.violation_squashes,
-            instructions_squashed: r.instructions_squashed,
-            sq_port_stalls: r.lsq.sq_port_stalls,
-            lq_port_stalls: r.lsq.lq_port_stalls,
-            commit_port_delays: r.lsq.commit_port_delays,
-            capped: r.hit_cycle_cap,
-            profile: r.profile.clone(),
-            cpi_stack: r.cpi_stack.clone(),
-            stage_latency: r.stage_latency.clone(),
-        }
-    }
-
     fn to_json(&self) -> Json {
-        let j = &self.job;
+        let (j, r) = (&self.job, &self.result);
         Json::obj(vec![
             ("bench", Json::from(j.bench)),
             ("scaled", j.scaled.into()),
@@ -165,41 +123,34 @@ impl JobRecord {
                 },
             ),
             ("cached", self.cached.into()),
-            ("wall_nanos", self.wall_nanos.into()),
-            ("cycles", self.cycles.into()),
-            ("committed", self.committed.into()),
-            ("ipc", self.ipc.into()),
-            ("sim_mips", self.sim_mips.into()),
-            ("violations", self.violations.into()),
-            ("commit_violations", self.commit_violations.into()),
-            ("useless_searches", self.useless_searches.into()),
-            ("load_load_violations", self.load_load_violations.into()),
-            ("violation_squashes", self.violation_squashes.into()),
-            ("instructions_squashed", self.instructions_squashed.into()),
-            ("sq_port_stalls", self.sq_port_stalls.into()),
-            ("lq_port_stalls", self.lq_port_stalls.into()),
-            ("commit_port_delays", self.commit_port_delays.into()),
-            ("capped", self.capped.into()),
+            ("wall_nanos", r.wall_nanos.into()),
+            ("cycles", r.cycles.into()),
+            ("committed", r.committed.into()),
+            ("ipc", r.ipc().into()),
+            ("sim_mips", r.sim_mips.into()),
+            ("violations", r.lsq.violations.into()),
+            ("commit_violations", r.lsq.commit_violations.into()),
+            ("useless_searches", r.lsq.useless_searches.into()),
+            ("load_load_violations", r.lsq.load_load_violations.into()),
+            ("violation_squashes", r.violation_squashes.into()),
+            ("instructions_squashed", r.instructions_squashed.into()),
+            ("sq_port_stalls", r.lsq.sq_port_stalls.into()),
+            ("lq_port_stalls", r.lsq.lq_port_stalls.into()),
+            ("commit_port_delays", r.lsq.commit_port_delays.into()),
+            ("capped", r.hit_cycle_cap.into()),
             (
                 "profile",
-                match &self.profile {
-                    Some(p) => p.to_json(),
-                    None => Json::Null,
-                },
+                r.profile.as_ref().map_or(Json::Null, PhaseProfile::to_json),
             ),
             (
                 "cpi_stack",
-                match &self.cpi_stack {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
+                r.cpi_stack.as_ref().map_or(Json::Null, CpiStack::to_json),
             ),
             (
                 "stage_latency",
-                match &self.stage_latency {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
+                r.stage_latency
+                    .as_ref()
+                    .map_or(Json::Null, StageLatency::to_json),
             ),
         ])
     }
@@ -340,7 +291,11 @@ impl Engine {
         {
             let mut records = self.records.lock_unpoisoned();
             for ((job, &cached), result) in jobs.iter().zip(&cached_flags).zip(&results) {
-                records.push(JobRecord::from_result(*job, cached, result));
+                records.push(JobRecord {
+                    job: *job,
+                    cached,
+                    result: result.clone(),
+                });
             }
         }
         // Capped runs report truncated counters: say so loudly at batch

@@ -8,7 +8,7 @@
 
 use crate::engine::{self, Job};
 use lsq_core::LsqConfig;
-use lsq_obs::{PipeRecord, Sampler, TraceBuffer, TraceConfig};
+use lsq_obs::{write_file, PipeRecord, Sampler, TraceBuffer, TraceConfig, TIMELINE};
 use lsq_pipeline::{NopProbe, Probe, ProbeSet, SimConfig, SimResult, Simulator};
 use lsq_trace::BenchProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,9 +114,9 @@ fn number_sinks(probe: ProbeSet) -> ProbeSet {
 /// CPI-stack CSV, the pipeline-viewer log, then the event trace and
 /// timeline.
 fn flush_sinks(bench: &str, probe: &mut ProbeSet) {
-    let cpi = probe.acct.as_mut().and_then(|a| a.take_sampler());
-    if let (Some(path), Some(cpi)) = (&probe.sinks.cpi_csv, cpi) {
-        match std::fs::write(path, cpi.to_csv()) {
+    if let (Some(path), Some(cpi)) = (&probe.sinks.cpi_csv, &mut probe.cpi_sampler) {
+        cpi.flush();
+        match write_file(path, &cpi.to_csv()) {
             Ok(()) => eprintln!("cpi-stack csv: {bench} -> {}", path.display()),
             Err(e) => eprintln!(
                 "warning: could not write LSQ_ACCOUNTING_CSV={}: {e}",
@@ -229,7 +229,9 @@ pub fn run_traced(
 ) -> (SimResult, TraceBuffer, Option<Sampler>) {
     let mut probe = ProbeSet::from_env().unwrap_or_default();
     probe.trace = Some(TraceBuffer::with_capacity(trace.capacity));
-    probe.sampler = trace.effective_sample_cycles().map(Sampler::new);
+    probe.sampler = trace
+        .effective_sample_cycles()
+        .map(|window| Sampler::new(window, &TIMELINE));
     probe.timer = None;
     probe.sinks.trace = None;
     let (result, mut probe) = simulate(bench, lsq, scaled, spec, number_sinks(probe));
@@ -525,6 +527,29 @@ mod tests {
             windowed >= r.cycles,
             "windows cover at least the measured phase"
         );
+    }
+
+    #[test]
+    fn cpi_csv_sink_creates_its_directory() {
+        let dir = std::env::temp_dir().join(format!("lsq_cpi_sink_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("nested").join("cpi.csv");
+        let mut cpi = Sampler::new(2, &["base", "frontend"]);
+        cpi.observe(1, &[4, 4]);
+        cpi.observe(2, &[8, 8]);
+        cpi.observe(3, &[9, 15]);
+        let mut probe = ProbeSet {
+            cpi_sampler: Some(cpi),
+            ..ProbeSet::default()
+        };
+        probe.sinks.cpi_csv = Some(path.clone());
+        flush_sinks("gzip", &mut probe);
+        let text = std::fs::read_to_string(&path).expect("the sink wrote the CSV");
+        assert_eq!(
+            text, "start_cycle,end_cycle,cycles,base,frontend\n1,2,2,8,8\n3,3,1,1,7\n",
+            "the partial last window is flushed"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -157,9 +157,9 @@ fn find_hot_regions(ctx: &FileCtx) -> Vec<Region> {
     out
 }
 
-/// A loaded workspace: every lexed `.rs` file plus the two rule inputs
-/// that live outside Rust source (the knob registry and the
-/// `EXPERIMENTS.md` knob table).
+/// A loaded workspace: every lexed `.rs` file plus the rule inputs that
+/// live outside Rust source (the knob registry, the `EXPERIMENTS.md`
+/// knob table and the CI workflows).
 pub struct Workspace {
     /// All source files, in walk order.
     pub files: Vec<FileCtx>,
@@ -171,6 +171,10 @@ pub struct Workspace {
     /// Whether both drift inputs were present (fixture workspaces built
     /// from bare source skip the drift check).
     pub has_drift_inputs: bool,
+    /// CI workflow files (`.github/workflows/*.yml`) as
+    /// `(workspace-relative path, text)`, checked for `LSQ_*=`
+    /// assignments of unregistered knobs.
+    pub workflows: Vec<(String, String)>,
 }
 
 /// Directories never walked.
@@ -203,6 +207,7 @@ impl Workspace {
             registry_knobs,
             documented_knobs,
             has_drift_inputs,
+            workflows: load_workflows(root)?,
         })
     }
 
@@ -215,6 +220,7 @@ impl Workspace {
             registry_knobs: Vec::new(),
             documented_knobs: Vec::new(),
             has_drift_inputs: false,
+            workflows: Vec::new(),
         }
     }
 
@@ -244,6 +250,28 @@ impl Workspace {
                     .any(|w| w.covers(d.rule, d.line))
         })
     }
+}
+
+/// The CI workflow files under `root/.github/workflows`, sorted by path;
+/// none if the directory does not exist.
+fn load_workflows(root: &Path) -> Result<Vec<(String, String)>, Error> {
+    const DIR: &str = ".github/workflows";
+    let Ok(entries) = std::fs::read_dir(root.join(DIR)) else {
+        return Ok(Vec::new());
+    };
+    let mut out = Vec::new();
+    for entry in entries {
+        let path = entry.map_err(|e| Error::new(format!("{DIR}: {e}")))?.path();
+        if path.extension().is_some_and(|x| x == "yml" || x == "yaml") {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            let rel = format!("{DIR}/{name}");
+            let text = std::fs::read_to_string(&path)
+                .map_err(|e| Error::new(format!("read {rel}: {e}")))?;
+            out.push((rel, text));
+        }
+    }
+    out.sort();
+    Ok(out)
 }
 
 fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), Error> {

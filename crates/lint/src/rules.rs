@@ -168,6 +168,27 @@ pub fn registry_knob_names(f: &FileCtx) -> Vec<String> {
     names
 }
 
+/// `LSQ_*` knobs assigned (`LSQ_NAME=…`) in a CI workflow, with their
+/// 1-based line numbers. A knob name not directly followed by `=` (one
+/// quoted in a string, or an expansion) is not an assignment.
+pub fn workflow_knob_assignments(yml: &str) -> Vec<(String, u32)> {
+    let is_name = |c: u8| c.is_ascii_uppercase() || c.is_ascii_digit() || c == b'_';
+    let mut out = Vec::new();
+    for (i, line) in yml.lines().enumerate() {
+        let bytes = line.as_bytes();
+        for (start, _) in line.match_indices("LSQ_") {
+            if start > 0 && is_name(bytes[start - 1]) {
+                continue;
+            }
+            let end = start + bytes[start..].iter().take_while(|&&c| is_name(c)).count();
+            if bytes.get(end) == Some(&b'=') && is_knob_shaped(&line[start..end]) {
+                out.push((line[start..end].to_string(), i as u32 + 1));
+            }
+        }
+    }
+    out
+}
+
 /// Knob names documented in the `EXPERIMENTS.md` knob table: markdown
 /// table rows whose first cell is a backticked `LSQ_*` name.
 pub fn documented_knob_names(md: &str) -> Vec<(String, u32)> {
@@ -269,6 +290,22 @@ fn knob_registry_drift(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                      lsq_util::knobs::REGISTRY"
                 ),
             });
+        }
+    }
+    for (path, text) in &ws.workflows {
+        for (knob, line) in workflow_knob_assignments(text) {
+            if !ws.registry_knobs.contains(&knob) {
+                out.push(Diagnostic {
+                    rule: KNOB_REGISTRY,
+                    path: path.clone(),
+                    line,
+                    severity: Severity::Error,
+                    message: format!(
+                        "workflow sets `{knob}`, which is not in \
+                         lsq_util::knobs::REGISTRY: nothing reads it"
+                    ),
+                });
+            }
         }
     }
 }

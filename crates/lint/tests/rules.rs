@@ -4,7 +4,7 @@
 //! `waiver-syntax`).
 
 use lsq_lint::rules;
-use lsq_lint::{lint_source, Role};
+use lsq_lint::{lint_source, Role, Workspace};
 
 /// Rule ids fired on `src`, with duplicates, in diagnostic order.
 fn fired(rel: &str, role: Role, src: &str) -> Vec<&'static str> {
@@ -134,6 +134,46 @@ fn documented_knob_names_parses_backticked_table_cells() {
         names,
         vec![("LSQ_JOBS".to_string(), 5), ("LSQ_INSTRS".to_string(), 6)]
     );
+}
+
+/// A CI step that sets one registered and one unregistered knob, next
+/// to the lint self-check's seeded heredoc, which only quotes a fake
+/// knob name as a Rust string literal.
+const WORKFLOW: &str = "jobs:\n  smoke:\n    steps:\n      - run: |\n          LSQ_WARMUP=2000 LSQ_JOBS=2 \\\n            ./target/release/artifact critical_path\n      - run: |\n          cat > seed.rs <<'EOF'\n          fn seeded_env() -> Option<String> {\n              std::env::var(\"LSQ_SEEDED_FAKE_KNOB\").ok()\n          }\n          EOF\n          echo \"$LSQ_JOBS\" XLSQ_NOT=1\n";
+
+#[test]
+fn workflow_knob_assignments_skip_quoted_names_and_expansions() {
+    assert_eq!(
+        rules::workflow_knob_assignments(WORKFLOW),
+        vec![("LSQ_WARMUP".to_string(), 5), ("LSQ_JOBS".to_string(), 5)]
+    );
+}
+
+#[test]
+fn workflow_setting_an_unregistered_knob_fires() {
+    let ws = |yml: &str| Workspace {
+        files: Vec::new(),
+        registry_knobs: vec!["LSQ_JOBS".to_string()],
+        documented_knobs: vec![("LSQ_JOBS".to_string(), 1)],
+        has_drift_inputs: true,
+        workflows: vec![(".github/workflows/ci.yml".to_string(), yml.to_string())],
+    };
+    let diags = ws(WORKFLOW).lint();
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].rule, rules::KNOB_REGISTRY);
+    assert_eq!(
+        (diags[0].path.as_str(), diags[0].line),
+        (".github/workflows/ci.yml", 5)
+    );
+    assert!(
+        diags[0].message.contains("LSQ_WARMUP"),
+        "{}",
+        diags[0].message
+    );
+    // With the dead knob dropped, the workflow is clean.
+    assert!(ws(&WORKFLOW.replace("LSQ_WARMUP=2000 ", ""))
+        .lint()
+        .is_empty());
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::sample::Sampler;
+use crate::sample::{timeline_csv, Sampler};
 use crate::tracer::{TraceBuffer, DEFAULT_RING_CAPACITY};
 
 /// Output format for a traced run.
@@ -99,7 +99,8 @@ impl TraceConfig {
     }
 
     /// Write the configured outputs. Returns the paths written. The
-    /// sampler, if provided, should already be flushed by the caller
+    /// sampler, if provided, must be a [`crate::TIMELINE`] sampler and
+    /// should already be flushed by the caller
     /// (`ProbeSet::take_sampler` in `lsq-pipeline` does this).
     pub fn write(
         &self,
@@ -118,7 +119,7 @@ impl TraceConfig {
             }
             TraceMode::Timeline => {
                 if let Some(s) = sampler {
-                    write_file(&self.path, &s.to_csv())?;
+                    write_file(&self.path, &timeline_csv(s))?;
                     written.push(self.path.clone());
                 }
             }
@@ -126,7 +127,7 @@ impl TraceConfig {
         if self.mode != TraceMode::Timeline {
             if let Some(s) = sampler {
                 let path = self.timeline_path();
-                write_file(&path, &s.to_csv())?;
+                write_file(&path, &timeline_csv(s))?;
                 written.push(path);
             }
         }
@@ -145,7 +146,10 @@ pub fn numbered(path: &Path, n: u64) -> PathBuf {
     PathBuf::from(os)
 }
 
-fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
+/// Writes `contents` to `path`, creating missing parent directories
+/// first. Every observer sink goes through this, so a sink path may name
+/// a directory that does not exist yet.
+pub fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;

@@ -11,16 +11,21 @@
 //!   `trace_event` JSON (open in Perfetto or `chrome://tracing`). The
 //!   simulator's probe set fills the ring; untraced simulators carry no
 //!   ring at all.
-//! * **Windowed sampling** — a [`Sampler`] turns per-cycle observations
-//!   into fixed-width window rows (IPC, queue occupancy, search demand,
-//!   in-flight loads) dumped as CSV, so warm-up vs. measured behaviour
-//!   is visible at a glance. Per-window committed/cycle deltas sum back
-//!   exactly to the run's aggregate IPC.
+//! * **Windowed sampling** — one label-driven [`Sampler`] turns
+//!   per-cycle cumulative counters into fixed-width window rows of
+//!   deltas. It backs both CSVs: the timeline ([`timeline_csv`]: IPC,
+//!   queue occupancy, search demand, in-flight loads), so warm-up vs.
+//!   measured behaviour is visible at a glance, and the windowed CPI
+//!   stack ([`Sampler::to_csv`], one column per stall component).
+//!   Per-window deltas sum back exactly to the run's totals.
 //! * **Per-PC attribution** — [`PcAttribution`] charges violations,
 //!   squashes, and useless searches to static PCs, making Table 3's
 //!   misprediction rate debuggable.
 //! * **A metrics registry** — [`Registry`] renders counter sections as
 //!   aligned text or JSON; `bin/diag` is built on it.
+//! * **One sink writer** — [`write_file`] writes every observer file
+//!   (trace, timeline, pipeline-viewer log, CPI-stack CSV), creating
+//!   missing parent directories.
 //! * **Env-driven wiring** — [`TraceConfig::from_env`] parses
 //!   `LSQ_TRACE=<path>[:events|:timeline|:chrome]` and
 //!   `LSQ_SAMPLE_CYCLES=<n>` so any experiment run can be traced
@@ -33,7 +38,6 @@
 
 pub mod attrib;
 pub mod config;
-pub mod cpisample;
 pub mod event;
 pub mod json;
 pub mod pipeview;
@@ -42,8 +46,7 @@ pub mod sample;
 pub mod tracer;
 
 pub use attrib::{PcAttribution, PcCounters};
-pub use config::{numbered, TraceConfig, TraceMode};
-pub use cpisample::{CpiStackSampler, CpiWindow};
+pub use config::{numbered, write_file, TraceConfig, TraceMode};
 pub use event::{Event, MemOp, MissLevel, QueueSide, SquashCause, TimedEvent};
 pub use json::Json;
 pub use pipeview::{
@@ -51,5 +54,5 @@ pub use pipeview::{
     PipeviewConfig, PipeviewMode, DEFAULT_PIPEVIEW_CAPACITY,
 };
 pub use registry::{Metric, MetricValue, Registry, Section};
-pub use sample::{SampleInput, SampleRow, Sampler};
+pub use sample::{timeline_csv, SampleInput, Sampler, Window, TIMELINE};
 pub use tracer::{TraceBuffer, DEFAULT_RING_CAPACITY};

@@ -21,8 +21,9 @@
 //! flagged. [`PipeviewConfig`] wires the sink to the
 //! `LSQ_PIPEVIEW=<path>[:konata|:o3]` knob.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+use crate::config::write_file;
 use crate::event::SquashCause;
 use lsq_isa::{Addr, InstrKind, Pc};
 
@@ -159,15 +160,6 @@ impl PipeviewConfig {
         write_file(&self.path, &text)?;
         Ok(self.path.clone())
     }
-}
-
-fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, contents)
 }
 
 /// Stage names used in Konata output, in pipeline order: frontend,

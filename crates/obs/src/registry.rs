@@ -1,9 +1,11 @@
 //! A small metrics registry: named sections of named values, rendered
 //! as aligned text or JSON.
 //!
-//! `bin/diag` and the experiment engine's JSON dump are built on this
-//! instead of hand-rolled `println!`/`format!` blocks, so the two
-//! outputs cannot drift apart and new counters are added in one place.
+//! `bin/diag` prints its counter report through this (built by
+//! `SimResult::registry` in `lsq-pipeline`) instead of hand-rolled
+//! `println!`/`format!` blocks. The experiment engine's
+//! `LSQ_EXPERIMENTS_JSON` dump does not use it: each job record renders
+//! its own JSON.
 
 use crate::json::Json;
 

@@ -1,19 +1,28 @@
-//! The windowed time-series sampler.
+//! The windowed sampler.
 //!
-//! Called once per simulated cycle with cumulative counters and
-//! instantaneous occupancies, the sampler folds them into fixed-width
-//! window rows: committed/cycle deltas (so per-window IPC), mean queue
-//! occupancies, search demand, and in-flight loads. Because deltas are
-//! taken against the previous window's cumulative values starting from
-//! zero, the rows partition the run exactly — Σ committed over rows
-//! equals the final cumulative committed count, and Σ cycles equals the
-//! number of observed cycles. That is the acceptance-criterion
-//! invariant: per-window IPC weighted by window length sums back to the
-//! run's aggregate IPC.
+//! Called once per simulated cycle with a fixed set of cumulative `u64`
+//! counters, the sampler folds them into fixed-width window rows of
+//! per-counter deltas. Deltas are taken against the previous window's
+//! cumulative values starting from zero, so the rows partition the run
+//! exactly: summing any counter over every row reproduces its final
+//! cumulative value, and summing `cycles` gives the number of observed
+//! cycles.
+//!
+//! The sampler is label-driven, so one type serves both CSVs the
+//! simulator writes:
+//!
+//! * the **timeline** (`LSQ_TRACE` + `LSQ_SAMPLE_CYCLES`) samples the
+//!   [`TIMELINE`] counters and is rendered by [`timeline_csv`]: per-window
+//!   IPC, mean queue occupancies and search demand. A mean occupancy is
+//!   the window delta of a running occupancy sum divided by the window
+//!   length, so per-window IPC weighted by window length sums back to
+//!   the run's aggregate IPC;
+//! * the **CPI stack** (`LSQ_ACCOUNTING_CSV`) samples one cumulative
+//!   commit-slot counter per stall component and is rendered by the
+//!   generic [`Sampler::to_csv`]. The pipeline crate passes the component
+//!   names as labels, so this crate stays independent of its taxonomy.
 
-use crate::json::Json;
-
-/// One cycle's worth of observations, passed to [`Sampler::observe`].
+/// One cycle's observations, passed to the probe's cycle-end hook.
 /// Counter fields are cumulative; occupancy fields are instantaneous.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SampleInput {
@@ -27,135 +36,117 @@ pub struct SampleInput {
     pub sq_searches: u64,
     /// Cumulative load-queue searches (by stores and loads).
     pub lq_searches: u64,
-    /// Loads currently in flight (issued, not yet complete).
-    pub inflight_loads: usize,
 }
 
+/// The timeline sampler's counters, in the order [`timeline_csv`] reads
+/// them: committed instructions, running sums of the per-cycle LQ and SQ
+/// occupancies, and store- and load-queue searches.
+pub const TIMELINE: [&str; 5] = [
+    "committed",
+    "lq_occupancy_sum",
+    "sq_occupancy_sum",
+    "sq_searches",
+    "lq_searches",
+];
+
 /// One completed window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleRow {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Window {
     /// First cycle observed in this window.
     pub start_cycle: u64,
     /// Last cycle observed in this window.
     pub end_cycle: u64,
     /// Cycles observed in this window.
     pub cycles: u64,
-    /// Instructions committed during this window.
-    pub committed: u64,
-    /// Mean load-queue occupancy over the window.
-    pub lq_occupancy: f64,
-    /// Mean store-queue occupancy over the window.
-    pub sq_occupancy: f64,
-    /// Mean in-flight loads over the window.
-    pub inflight_loads: f64,
-    /// Store-queue searches during this window.
-    pub sq_searches: u64,
-    /// Load-queue searches during this window.
-    pub lq_searches: u64,
+    /// Each counter's growth during this window, in label order.
+    pub deltas: Vec<u64>,
 }
 
-impl SampleRow {
-    /// This window's IPC.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed as f64 / self.cycles as f64
-        }
-    }
-}
-
-/// Folds per-cycle observations into fixed-width [`SampleRow`]s.
+/// Folds per-cycle cumulative counters into fixed-width [`Window`]s.
 #[derive(Debug, Clone)]
 pub struct Sampler {
     window: u64,
-    rows: Vec<SampleRow>,
-    // Within-window accumulation.
+    labels: Vec<&'static str>,
+    rows: Vec<Window>,
     samples_in_window: u64,
     win_start: u64,
     win_end: u64,
-    lq_sum: f64,
-    sq_sum: f64,
-    inflight_sum: f64,
-    // Cumulative counter values at the end of the last flushed window.
-    base_committed: u64,
-    base_sq_searches: u64,
-    base_lq_searches: u64,
-    // Latest cumulative counter values seen.
-    last: SampleInput,
+    /// Cumulative values at the end of the last flushed window.
+    base: Vec<u64>,
+    /// Latest cumulative values seen.
+    last: Vec<u64>,
 }
 
 impl Sampler {
-    /// A sampler with the given window width in cycles.
+    /// A sampler with the given window width in cycles and counter
+    /// labels (one per counter, in a fixed order).
     ///
     /// # Panics
-    /// If `window` is zero.
-    pub fn new(window: u64) -> Self {
+    /// If `window` is zero or `labels` is empty.
+    pub fn new(window: u64, labels: &[&'static str]) -> Self {
         assert!(window > 0, "sampler window must be at least one cycle");
-        Sampler {
+        assert!(!labels.is_empty(), "sampler needs at least one counter");
+        Self {
             window,
+            labels: labels.to_vec(),
             rows: Vec::new(),
             samples_in_window: 0,
             win_start: 0,
             win_end: 0,
-            lq_sum: 0.0,
-            sq_sum: 0.0,
-            inflight_sum: 0.0,
-            base_committed: 0,
-            base_sq_searches: 0,
-            base_lq_searches: 0,
-            last: SampleInput::default(),
+            base: vec![0; labels.len()],
+            last: vec![0; labels.len()],
         }
     }
 
-    /// The configured window width.
-    pub fn window(&self) -> u64 {
-        self.window
+    /// The counter labels, in counter order.
+    pub fn labels(&self) -> &[&'static str] {
+        &self.labels
     }
 
-    /// Record one cycle's observations. Call exactly once per simulated
-    /// cycle (cycle values may start anywhere and need not be dense —
-    /// windows are "per N observations", and row boundaries report the
-    /// observed cycle range).
-    pub fn observe(&mut self, cycle: u64, input: SampleInput) {
+    /// Records one cycle's cumulative counters. Call exactly once per
+    /// simulated cycle with one value per label (cycle values may start
+    /// anywhere and need not be dense — windows are "per N
+    /// observations", and row boundaries report the observed cycle
+    /// range).
+    ///
+    /// # Panics
+    /// If `cumulative` does not have one value per label.
+    pub fn observe(&mut self, cycle: u64, cumulative: &[u64]) {
+        assert_eq!(
+            cumulative.len(),
+            self.labels.len(),
+            "one cumulative counter per label"
+        );
         if self.samples_in_window == 0 {
             self.win_start = cycle;
         }
         self.win_end = cycle;
         self.samples_in_window += 1;
-        self.lq_sum += input.lq_occupancy as f64;
-        self.sq_sum += input.sq_occupancy as f64;
-        self.inflight_sum += input.inflight_loads as f64;
-        self.last = input;
+        self.last.copy_from_slice(cumulative);
         if self.samples_in_window == self.window {
             self.flush_window();
         }
     }
 
     fn flush_window(&mut self) {
-        let n = self.samples_in_window;
-        debug_assert!(n > 0);
-        self.rows.push(SampleRow {
+        debug_assert!(self.samples_in_window > 0);
+        let deltas = self
+            .last
+            .iter()
+            .zip(&self.base)
+            .map(|(l, b)| l - b)
+            .collect();
+        self.rows.push(Window {
             start_cycle: self.win_start,
             end_cycle: self.win_end,
-            cycles: n,
-            committed: self.last.committed - self.base_committed,
-            lq_occupancy: self.lq_sum / n as f64,
-            sq_occupancy: self.sq_sum / n as f64,
-            inflight_loads: self.inflight_sum / n as f64,
-            sq_searches: self.last.sq_searches - self.base_sq_searches,
-            lq_searches: self.last.lq_searches - self.base_lq_searches,
+            cycles: self.samples_in_window,
+            deltas,
         });
-        self.base_committed = self.last.committed;
-        self.base_sq_searches = self.last.sq_searches;
-        self.base_lq_searches = self.last.lq_searches;
+        self.base.copy_from_slice(&self.last);
         self.samples_in_window = 0;
-        self.lq_sum = 0.0;
-        self.sq_sum = 0.0;
-        self.inflight_sum = 0.0;
     }
 
-    /// Emit the partial last window, if any cycles are pending. Call at
+    /// Emits the partial last window, if any cycles are pending. Call at
     /// end of run so the rows cover every observed cycle.
     pub fn flush(&mut self) {
         if self.samples_in_window > 0 {
@@ -164,156 +155,192 @@ impl Sampler {
     }
 
     /// The completed windows, oldest first.
-    pub fn rows(&self) -> &[SampleRow] {
+    pub fn rows(&self) -> &[Window] {
         &self.rows
     }
 
-    /// The rows as CSV with a header line. Flush first to include the
-    /// partial last window.
+    /// The rows as CSV: `start_cycle,end_cycle,cycles,<label>,...` with
+    /// one delta column per counter. Flush first to include the partial
+    /// last window.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "start_cycle,end_cycle,cycles,committed,ipc,lq_occupancy,sq_occupancy,inflight_loads,sq_searches,lq_searches\n",
-        );
+        let mut out = String::from("start_cycle,end_cycle,cycles");
+        for label in &self.labels {
+            out.push(',');
+            out.push_str(label);
+        }
+        out.push('\n');
         for r in &self.rows {
-            out.push_str(&format!(
-                "{},{},{},{},{:.6},{:.3},{:.3},{:.3},{},{}\n",
-                r.start_cycle,
-                r.end_cycle,
-                r.cycles,
-                r.committed,
-                r.ipc(),
-                r.lq_occupancy,
-                r.sq_occupancy,
-                r.inflight_loads,
-                r.sq_searches,
-                r.lq_searches
-            ));
+            out.push_str(&format!("{},{},{}", r.start_cycle, r.end_cycle, r.cycles));
+            for d in &r.deltas {
+                out.push_str(&format!(",{d}"));
+            }
+            out.push('\n');
         }
         out
     }
+}
 
-    /// The rows as a JSON array of objects (for embedding in reports).
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.rows
-                .iter()
-                .map(|r| {
-                    Json::obj(vec![
-                        ("start_cycle", Json::from(r.start_cycle)),
-                        ("end_cycle", Json::from(r.end_cycle)),
-                        ("cycles", Json::from(r.cycles)),
-                        ("committed", Json::from(r.committed)),
-                        ("ipc", Json::from(r.ipc())),
-                        ("lq_occupancy", Json::from(r.lq_occupancy)),
-                        ("sq_occupancy", Json::from(r.sq_occupancy)),
-                        ("inflight_loads", Json::from(r.inflight_loads)),
-                        ("sq_searches", Json::from(r.sq_searches)),
-                        ("lq_searches", Json::from(r.lq_searches)),
-                    ])
-                })
-                .collect(),
-        )
+/// Renders a [`TIMELINE`] sampler's rows as the timeline CSV: per-window
+/// committed count and IPC (`{:.6}`), mean LQ and SQ occupancy (`{:.3}`),
+/// in-flight loads (the LQ mean: a load holds its LQ entry from dispatch
+/// to retirement) and search counts. Flush first to include the partial
+/// last window.
+///
+/// # Panics
+/// If `sampler` was not built over [`TIMELINE`].
+pub fn timeline_csv(sampler: &Sampler) -> String {
+    assert_eq!(sampler.labels(), TIMELINE, "not a timeline sampler");
+    let mut out = String::from(
+        "start_cycle,end_cycle,cycles,committed,ipc,lq_occupancy,sq_occupancy,inflight_loads,sq_searches,lq_searches\n",
+    );
+    for r in sampler.rows() {
+        let d = &r.deltas;
+        let n = r.cycles as f64;
+        let lq = d[1] as f64 / n;
+        out.push_str(&format!(
+            "{},{},{},{},{:.6},{:.3},{:.3},{:.3},{},{}\n",
+            r.start_cycle,
+            r.end_cycle,
+            r.cycles,
+            d[0],
+            d[0] as f64 / n,
+            lq,
+            d[2] as f64 / n,
+            lq,
+            d[3],
+            d[4]
+        ));
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn input(committed: u64) -> SampleInput {
-        SampleInput {
-            committed,
-            lq_occupancy: 4,
-            sq_occupancy: 2,
-            sq_searches: committed / 2,
-            lq_searches: committed / 4,
-            inflight_loads: 1,
-        }
-    }
+    const LABELS: &[&str] = &["base", "frontend", "dep_chain"];
 
     #[test]
     #[should_panic(expected = "at least one cycle")]
     fn zero_window_panics() {
-        let _ = Sampler::new(0);
+        let _ = Sampler::new(0, LABELS);
     }
 
     #[test]
-    fn sample_at_cycle_zero_starts_first_window() {
-        let mut s = Sampler::new(4);
-        for cycle in 0..4 {
-            s.observe(cycle, input(cycle * 2));
-        }
+    #[should_panic(expected = "at least one counter")]
+    fn empty_labels_panic() {
+        let _ = Sampler::new(4, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one cumulative counter per label")]
+    fn mismatched_counter_width_panics() {
+        let mut s = Sampler::new(4, LABELS);
+        s.observe(1, &[1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a timeline sampler")]
+    fn timeline_rendering_needs_timeline_labels() {
+        let _ = timeline_csv(&Sampler::new(4, LABELS));
+    }
+
+    #[test]
+    fn windows_carry_per_counter_deltas() {
+        let mut s = Sampler::new(2, LABELS);
+        s.observe(1, &[5, 3, 0]);
+        s.observe(2, &[8, 6, 2]);
+        s.observe(3, &[16, 6, 2]);
         assert_eq!(s.rows().len(), 1);
-        let r = s.rows()[0];
-        assert_eq!(r.start_cycle, 0);
-        assert_eq!(r.end_cycle, 3);
-        assert_eq!(r.cycles, 4);
-        assert_eq!(r.committed, 6);
-    }
-
-    #[test]
-    fn partial_last_window_flushes() {
-        let mut s = Sampler::new(4);
-        for cycle in 0..10 {
-            s.observe(cycle, input(cycle));
-        }
-        assert_eq!(s.rows().len(), 2);
+        assert_eq!(s.rows()[0].deltas, vec![8, 6, 2]);
+        assert_eq!((s.rows()[0].start_cycle, s.rows()[0].end_cycle), (1, 2));
+        // The partial last window needs an explicit flush.
         s.flush();
-        assert_eq!(s.rows().len(), 3);
-        let last = s.rows()[2];
-        assert_eq!(last.start_cycle, 8);
-        assert_eq!(last.end_cycle, 9);
-        assert_eq!(last.cycles, 2);
+        assert_eq!(s.rows().len(), 2);
+        assert_eq!(s.rows()[1].deltas, vec![8, 0, 0]);
+        assert_eq!((s.rows()[1].start_cycle, s.rows()[1].end_cycle), (3, 3));
+        assert_eq!(s.rows()[1].cycles, 1);
         // Flushing again is a no-op.
         s.flush();
-        assert_eq!(s.rows().len(), 3);
+        assert_eq!(s.rows().len(), 2);
     }
 
     #[test]
     fn window_of_one_emits_every_cycle() {
-        let mut s = Sampler::new(1);
-        s.observe(0, input(1));
-        s.observe(1, input(3));
+        let mut s = Sampler::new(1, &["committed"]);
+        s.observe(0, &[1]);
+        s.observe(1, &[3]);
         assert_eq!(s.rows().len(), 2);
-        assert_eq!(s.rows()[0].committed, 1);
-        assert_eq!(s.rows()[1].committed, 2);
+        assert_eq!(s.rows()[0].deltas, vec![1]);
+        assert_eq!(s.rows()[1].deltas, vec![2]);
     }
 
     #[test]
     fn deltas_partition_the_run_exactly() {
-        // The acceptance-criterion invariant: Σ committed and Σ cycles
-        // across rows reproduce the aggregates, so length-weighted
-        // per-window IPC equals aggregate IPC.
-        let mut s = Sampler::new(7);
-        let total_cycles = 23u64;
-        let mut committed = 0u64;
-        for cycle in 0..total_cycles {
-            committed += (cycle % 3 == 0) as u64 * 2;
-            s.observe(cycle, input(committed));
+        // Summing each counter over all rows reproduces its final
+        // cumulative value, so every increment lands in exactly one
+        // window, and the windows cover every observed cycle.
+        let mut s = Sampler::new(7, LABELS);
+        let mut cum = [0u64; 3];
+        for cycle in 1..=23u64 {
+            cum[(cycle % 3) as usize] += 8;
+            s.observe(cycle, &cum);
         }
         s.flush();
-        let sum_cycles: u64 = s.rows().iter().map(|r| r.cycles).sum();
-        let sum_committed: u64 = s.rows().iter().map(|r| r.committed).sum();
-        assert_eq!(sum_cycles, total_cycles);
-        assert_eq!(sum_committed, committed);
-        let weighted: f64 = s.rows().iter().map(|r| r.ipc() * r.cycles as f64).sum();
-        let aggregate = committed as f64 / total_cycles as f64;
-        assert!((weighted / total_cycles as f64 - aggregate).abs() < 1e-12);
+        let mut summed = [0u64; 3];
+        for r in s.rows() {
+            for (acc, d) in summed.iter_mut().zip(&r.deltas) {
+                *acc += d;
+            }
+            // Each window's deltas sum to 8 per cycle here.
+            assert_eq!(r.deltas.iter().sum::<u64>(), r.cycles * 8);
+        }
+        assert_eq!(summed, cum);
+        assert_eq!(s.rows().iter().map(|r| r.cycles).sum::<u64>(), 23);
     }
 
     #[test]
-    fn csv_has_header_and_one_line_per_row() {
-        let mut s = Sampler::new(2);
-        for cycle in 0..5 {
-            s.observe(cycle, input(cycle));
+    fn csv_has_one_column_per_label() {
+        let mut s = Sampler::new(2, LABELS);
+        s.observe(1, &[4, 4, 0]);
+        s.observe(2, &[8, 8, 0]);
+        s.observe(3, &[9, 8, 7]);
+        s.flush();
+        assert_eq!(
+            s.to_csv(),
+            "start_cycle,end_cycle,cycles,base,frontend,dep_chain\n\
+             1,2,2,8,8,0\n\
+             3,3,1,1,0,7\n"
+        );
+    }
+
+    #[test]
+    fn timeline_csv_renders_ipc_means_and_inflight_loads() {
+        // Per cycle: (committed, LQ occupancy, SQ occupancy, SQ
+        // searches, LQ searches), the last two cumulative.
+        let cycles: [(u64, u64, u64, u64, u64); 5] = [
+            (2, 4, 1, 1, 0),
+            (3, 5, 2, 3, 1),
+            (3, 6, 2, 4, 1),
+            (7, 2, 0, 4, 5),
+            (8, 1, 1, 6, 5),
+        ];
+        let mut s = Sampler::new(3, &TIMELINE);
+        let (mut lq_sum, mut sq_sum) = (0, 0);
+        for (i, &(committed, lq, sq, sqs, lqs)) in cycles.iter().enumerate() {
+            lq_sum += lq;
+            sq_sum += sq;
+            s.observe(10 + i as u64, &[committed, lq_sum, sq_sum, sqs, lqs]);
         }
         s.flush();
-        let csv = s.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 1 + 3);
-        assert!(lines[0].starts_with("start_cycle,end_cycle,cycles,committed,ipc"));
-        for line in &lines[1..] {
-            assert_eq!(line.split(',').count(), 10);
-        }
+        // Window 1: 3 committed in 3 cycles, LQ 15/3, SQ 5/3.
+        // Window 2: 5 committed in 2 cycles, LQ 3/2, SQ 1/2.
+        assert_eq!(
+            timeline_csv(&s),
+            "start_cycle,end_cycle,cycles,committed,ipc,lq_occupancy,sq_occupancy,\
+             inflight_loads,sq_searches,lq_searches\n\
+             10,12,3,3,1.000000,5.000,1.667,5.000,4,1\n\
+             13,14,2,5,2.500000,1.500,0.500,1.500,2,4\n"
+        );
     }
 }

@@ -23,11 +23,13 @@
 //! slots through the probe's commit hook and classified stall slots
 //! through its stall hook, and with
 //! [`NopProbe`](crate::probe::NopProbe) every attribution site compiles
-//! away. [`SlotAccountant`] accumulates the stack and can feed a windowed
-//! [`CpiStackSampler`] so the per-component timeline lands in CSV next
-//! to the IPC sampler's.
+//! away. [`SlotAccountant`] accumulates the stack; for
+//! `LSQ_ACCOUNTING_CSV` the probe set samples its cumulative counters
+//! ([`SlotAccountant::slots`]) into a windowed [`lsq_obs::Sampler`]
+//! labelled by [`Component::NAMES`], so the per-component timeline
+//! lands in CSV next to the IPC timeline.
 
-use lsq_obs::{CpiStackSampler, Json};
+use lsq_obs::Json;
 
 /// Where one commit slot of one cycle went. Exactly one component is
 /// charged per slot; see the module docs for the partition invariant.
@@ -107,29 +109,11 @@ impl Component {
     /// Stable snake_case name used in reports, JSON, CSV columns, and
     /// the `lsq_cpi_stack_cycles_total{component=...}` metric label.
     pub fn name(self) -> &'static str {
-        match self {
-            Component::Base => "base",
-            Component::Frontend => "frontend",
-            Component::BranchRedirect => "branch_redirect",
-            Component::SquashReplay => "squash_replay",
-            Component::RobFull => "rob_full",
-            Component::IqFull => "iq_full",
-            Component::LqFull => "lq_full",
-            Component::SqFull => "sq_full",
-            Component::SearchPort => "search_port",
-            Component::DcachePort => "dcache_port",
-            Component::MemOrdering => "mem_ordering",
-            Component::StoreDrain => "store_drain",
-            Component::DepChain => "dep_chain",
-            Component::ExecLatency => "exec_latency",
-            Component::CacheL2 => "cache_l2",
-            Component::CacheMem => "cache_mem",
-            Component::SegmentOverhead => "segment_overhead",
-        }
+        Self::NAMES[self.index()]
     }
 
-    /// The component names in [`Component::ALL`] order — the label set
-    /// handed to a [`CpiStackSampler`].
+    /// The component names in [`Component::ALL`] order — the labels of
+    /// the windowed CPI-stack [`lsq_obs::Sampler`].
     pub const NAMES: [&'static str; 17] = [
         "base",
         "frontend",
@@ -155,32 +139,17 @@ impl Component {
     }
 }
 
-/// Accumulates commit slots per component, optionally sampling the
-/// cumulative counters into fixed-width windows.
+/// Accumulates commit slots per component.
 #[derive(Debug, Clone, Default)]
 pub struct SlotAccountant {
     commit_width: u64,
     slots: [u64; Component::ALL.len()],
-    sampler: Option<CpiStackSampler>,
 }
 
 impl SlotAccountant {
-    /// Creates an empty accountant with no sampler.
+    /// Creates an empty accountant.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an accountant that also folds every cycle into
-    /// `window`-cycle [`CpiWindow`](lsq_obs::cpisample::CpiWindow) rows
-    /// (see [`CpiStackSampler`]).
-    ///
-    /// # Panics
-    /// If `window` is zero.
-    pub fn with_sampler(window: u64) -> Self {
-        Self {
-            sampler: Some(CpiStackSampler::new(window, &Component::NAMES)),
-            ..Self::default()
-        }
     }
 
     /// Tells the accountant the machine's commit width (slots per
@@ -195,12 +164,10 @@ impl SlotAccountant {
         self.slots[component.index()] += slots;
     }
 
-    /// Marks the end of a simulated cycle (feeds the windowed sampler).
-    #[inline]
-    pub fn end_cycle(&mut self, cycle: u64) {
-        if let Some(s) = &mut self.sampler {
-            s.observe(cycle, &self.slots);
-        }
+    /// The cumulative slots charged to each component, in
+    /// [`Component::ALL`] order.
+    pub fn slots(&self) -> &[u64] {
+        &self.slots
     }
 
     /// The accumulated stack.
@@ -215,14 +182,6 @@ impl SlotAccountant {
                 })
                 .collect(),
         }
-    }
-
-    /// Detaches the windowed sampler (flushing its partial last
-    /// window), if one was attached.
-    pub fn take_sampler(&mut self) -> Option<CpiStackSampler> {
-        let mut s = self.sampler.take()?;
-        s.flush();
-        Some(s)
     }
 }
 
@@ -401,25 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn sampler_sees_cumulative_counters_each_cycle() {
-        let mut a = SlotAccountant::with_sampler(2);
-        a.init(8);
-        for cycle in 1..=4u64 {
-            a.charge(Component::Base, 2);
-            a.charge(Component::Frontend, 6);
-            a.end_cycle(cycle);
-        }
-        let s = a.take_sampler().expect("sampler attached");
-        assert_eq!(s.rows().len(), 2);
-        for r in s.rows() {
-            assert_eq!(r.cycles, 2);
-            assert_eq!(r.slots.iter().sum::<u64>(), 16);
-        }
-        // Detached: a second take yields nothing.
-        assert!(a.take_sampler().is_none());
-    }
-
-    #[test]
     fn merge_matches_by_name() {
         let mut a = SlotAccountant::new();
         a.init(8);
@@ -480,6 +420,10 @@ mod tests {
 
     #[test]
     fn component_names_are_stable_and_unique() {
+        assert_eq!(Component::Base.name(), "base");
+        assert_eq!(Component::SearchPort.name(), "search_port");
+        assert_eq!(Component::CacheMem.name(), "cache_mem");
+        assert_eq!(Component::SegmentOverhead.name(), "segment_overhead");
         let names: Vec<_> = Component::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.as_slice(), &Component::NAMES);
         let mut sorted = names.clone();

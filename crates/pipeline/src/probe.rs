@@ -16,9 +16,11 @@
 //!   computes no hook argument and compiles to the unobserved code. The
 //!   `zero-cost-nop` lint checks the contract.
 //! * [`ProbeSet`] — optional recorders behind the hooks: the event ring
-//!   ([`TraceBuffer`]), the windowed [`Sampler`], the phase timer
-//!   ([`WallProfiler`]), the slot accountant ([`SlotAccountant`]), and
-//!   the lifecycle recorder ([`PipeviewRecorder`]).
+//!   ([`TraceBuffer`]), the phase timer ([`WallProfiler`]), the slot
+//!   accountant ([`SlotAccountant`]), the lifecycle recorder
+//!   ([`PipeviewRecorder`]), and two windowed [`Sampler`]s fed at each
+//!   cycle end: the timeline, over the [`TIMELINE`] counters, and the
+//!   CPI stack, over the accountant's per-component slot counters.
 //!   [`ProbeSet::from_env`] builds it from the `LSQ_*` knobs, and its
 //!   [`Sinks`] name the files the recorders are written to.
 
@@ -30,7 +32,7 @@ use crate::result::SimResult;
 use lsq_isa::{Addr, InstrKind, Instruction, Pc};
 use lsq_obs::{
     numbered, Event, MemOp, MissLevel, PipeviewConfig, QueueSide, SampleInput, Sampler,
-    SquashCause, TraceBuffer, TraceConfig,
+    SquashCause, TraceBuffer, TraceConfig, TIMELINE,
 };
 use std::path::PathBuf;
 
@@ -248,18 +250,24 @@ fn accounting_csv_from_env() -> Option<(PathBuf, u64)> {
 pub struct ProbeSet {
     /// The event ring.
     pub trace: Option<TraceBuffer>,
-    /// The windowed IPC / occupancy / search-demand sampler.
+    /// The windowed timeline sampler, over the [`TIMELINE`] counters.
     pub sampler: Option<Sampler>,
     /// The per-phase wall-time profiler.
     pub timer: Option<WallProfiler>,
     /// The CPI-stack cycle accountant.
     pub acct: Option<SlotAccountant>,
+    /// The windowed CPI-stack sampler, over [`Component::NAMES`]. It is
+    /// fed from `acct`'s counters, so it records nothing without `acct`.
+    pub cpi_sampler: Option<Sampler>,
     /// The per-instruction lifecycle recorder.
     pub life: Option<PipeviewRecorder>,
     /// Where the recorders are written after the run.
     pub sinks: Sinks,
     /// The current cycle, kept by [`Probe::cycle_begin`].
     pub cycle: u64,
+    /// Running sums of the per-cycle LQ and SQ occupancies: the
+    /// timeline's cumulative occupancy counters.
+    pub occupancy_sums: [u64; 2],
 }
 
 impl ProbeSet {
@@ -267,9 +275,10 @@ impl ProbeSet {
     /// 0, or `None` when every observer is off:
     ///
     /// * `LSQ_TRACE` (+ `LSQ_TRACE_CAP`, `LSQ_SAMPLE_CYCLES`): event ring
-    ///   and sampler;
+    ///   and timeline sampler;
     /// * `LSQ_PROFILE`: phase timer;
-    /// * `LSQ_ACCOUNTING` (+ `LSQ_ACCOUNTING_CSV`): slot accountant;
+    /// * `LSQ_ACCOUNTING` (+ `LSQ_ACCOUNTING_CSV`): slot accountant (and
+    ///   CPI-stack sampler);
     /// * `LSQ_PIPEVIEW` (+ `LSQ_PIPEVIEW_CAP`): lifecycle recorder.
     pub fn from_env() -> Option<ProbeSet> {
         let trace = TraceConfig::from_env();
@@ -288,12 +297,12 @@ impl ProbeSet {
             sampler: trace
                 .as_ref()
                 .and_then(TraceConfig::effective_sample_cycles)
-                .map(Sampler::new),
+                .map(|window| Sampler::new(window, &TIMELINE)),
             timer: profile.then(WallProfiler::new),
-            acct: accounting.then(|| match &cpi_csv {
-                Some((_, window)) => SlotAccountant::with_sampler(*window),
-                None => SlotAccountant::new(),
-            }),
+            acct: accounting.then(SlotAccountant::new),
+            cpi_sampler: cpi_csv
+                .as_ref()
+                .map(|(_, window)| Sampler::new(*window, &Component::NAMES)),
             life: pipeview.as_ref().map(|p| PipeviewRecorder::new(p.capacity)),
             sinks: Sinks {
                 trace,
@@ -301,6 +310,7 @@ impl ProbeSet {
                 cpi_csv: cpi_csv.map(|(path, _)| path),
             },
             cycle: 0,
+            occupancy_sums: [0; 2],
         })
     }
 
@@ -321,7 +331,7 @@ impl ProbeSet {
         self
     }
 
-    /// Detaches the sampler, flushing its partial last window.
+    /// Detaches the timeline sampler, flushing its partial last window.
     pub fn take_sampler(&mut self) -> Option<Sampler> {
         let mut s = self.sampler.take()?;
         s.flush();
@@ -376,10 +386,22 @@ impl Probe for ProbeSet {
 
     fn cycle_end(&mut self, sample: &SampleInput) {
         if let Some(s) = &mut self.sampler {
-            s.observe(self.cycle, *sample);
+            let [lq, sq] = &mut self.occupancy_sums;
+            *lq += sample.lq_occupancy as u64;
+            *sq += sample.sq_occupancy as u64;
+            s.observe(
+                self.cycle,
+                &[
+                    sample.committed,
+                    *lq,
+                    *sq,
+                    sample.sq_searches,
+                    sample.lq_searches,
+                ],
+            );
         }
-        if let Some(a) = &mut self.acct {
-            a.end_cycle(self.cycle);
+        if let (Some(s), Some(a)) = (&mut self.cpi_sampler, &self.acct) {
+            s.observe(self.cycle, a.slots());
         }
     }
 
@@ -555,6 +577,42 @@ mod tests {
             "{}",
             timeline.display()
         );
+    }
+
+    #[test]
+    fn cycle_end_feeds_both_samplers_cumulative_counters() {
+        let mut probe = ProbeSet {
+            sampler: Some(Sampler::new(2, &TIMELINE)),
+            acct: Some(SlotAccountant::new()),
+            cpi_sampler: Some(Sampler::new(2, &Component::NAMES)),
+            ..ProbeSet::default()
+        };
+        for cycle in 1..=4u64 {
+            probe.cycle_begin(cycle);
+            probe.commit(2 * cycle);
+            probe.commit(2 * cycle + 1);
+            probe.stall(Component::Frontend, 6);
+            probe.cycle_end(&SampleInput {
+                committed: 2 * cycle,
+                lq_occupancy: cycle as usize,
+                sq_occupancy: 1,
+                sq_searches: 3 * cycle,
+                lq_searches: 0,
+            });
+        }
+        let cpi = probe.cpi_sampler.as_ref().expect("cpi sampler");
+        assert_eq!(cpi.rows().len(), 2);
+        for r in cpi.rows() {
+            assert_eq!(r.cycles, 2);
+            assert_eq!(r.deltas[0], 4, "two base slots per cycle");
+            assert_eq!(r.deltas[1], 12, "six frontend slots per cycle");
+            assert_eq!(r.deltas.iter().sum::<u64>(), 16);
+        }
+        // Occupancies enter the timeline as running sums.
+        let timeline = probe.take_sampler().expect("timeline sampler");
+        let deltas: Vec<&[u64]> = timeline.rows().iter().map(|r| &r.deltas[..]).collect();
+        assert_eq!(deltas, [[4, 1 + 2, 2, 6, 0], [4, 3 + 4, 2, 6, 0]]);
+        assert_eq!(probe.occupancy_sums, [10, 4]);
     }
 
     #[test]

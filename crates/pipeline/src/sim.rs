@@ -369,7 +369,6 @@ impl<P: Probe> Simulator<P> {
                 sq_occupancy: self.lsq.sq_occupancy(),
                 sq_searches: stats.sq_searches,
                 lq_searches: stats.lq_searches(),
-                inflight_loads: self.lsq.lq_occupancy(),
             });
         }
     }

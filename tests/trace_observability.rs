@@ -5,8 +5,10 @@
 //! at the offending static instruction.
 
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
-use lsq::obs::{Event, Json, MissLevel, SampleInput, Sampler, TraceBuffer, TraceConfig};
-use lsq::pipeline::{NopProbe, PipeviewRecorder, Probe, ProbeSet, SlotAccountant, WallProfiler};
+use lsq::obs::{timeline_csv, Event, Json, MissLevel, Sampler, TraceBuffer, TraceConfig, TIMELINE};
+use lsq::pipeline::{
+    Component, NopProbe, PipeviewRecorder, Probe, ProbeSet, SlotAccountant, WallProfiler,
+};
 use lsq::prelude::*;
 
 /// A loop whose store's data arrives late, so the same-address load
@@ -36,7 +38,7 @@ fn traced_run(iters: u64, window: u64) -> (lsq::pipeline::SimResult, TraceBuffer
     let mut stream = VecStream::new(instrs);
     let probe = ProbeSet {
         trace: Some(TraceBuffer::new()),
-        sampler: Some(Sampler::new(window)),
+        sampler: Some(Sampler::new(window, &TIMELINE)),
         ..ProbeSet::default()
     };
     let mut sim = Simulator::with_probe(SimConfig::default(), probe);
@@ -117,7 +119,7 @@ fn chrome_trace_parses_and_carries_lane_metadata() {
         }
     }
     // The CSV sidecar is also well-formed.
-    let csv = sampler.to_csv();
+    let csv = timeline_csv(&sampler);
     let mut lines = csv.lines();
     assert_eq!(
         lines.next().unwrap(),
@@ -133,7 +135,7 @@ fn windowed_ipc_sums_back_to_aggregate_ipc() {
     let rows = sampler.rows();
     assert!(rows.len() >= 2, "run spans several windows");
     let cycles: u64 = rows.iter().map(|w| w.cycles).sum();
-    let committed: u64 = rows.iter().map(|w| w.committed).sum();
+    let committed: u64 = rows.iter().map(|w| w.deltas[0]).sum();
     assert_eq!(cycles, r.cycles, "windows partition the run's cycles");
     assert_eq!(committed, r.committed, "windows partition commits");
     let windowed_ipc = committed as f64 / cycles as f64;
@@ -189,18 +191,8 @@ fn trace_config_writes_parseable_files() {
 fn nop_tracer_interface_is_inert() {
     // The default-tracer simulator compiles and runs with no ring at
     // all; this is the configuration the benchmarks measure.
-    let mut sampler = Sampler::new(4);
-    sampler.observe(
-        1,
-        SampleInput {
-            committed: 2,
-            lq_occupancy: 0,
-            sq_occupancy: 0,
-            sq_searches: 0,
-            lq_searches: 0,
-            inflight_loads: 0,
-        },
-    );
+    let mut sampler = Sampler::new(4, &TIMELINE);
+    sampler.observe(1, &[2, 0, 0, 0, 0]);
     sampler.flush();
     assert_eq!(sampler.rows().len(), 1);
     let buf = TraceBuffer::new();
@@ -360,9 +352,10 @@ fn all_recorders_on_match_the_nop_probe() {
         let (plain, _) = probed_run("gcc", lsq, 20_000, NopProbe);
         let all = ProbeSet {
             trace: Some(TraceBuffer::with_capacity(1 << 10)),
-            sampler: Some(Sampler::new(500)),
+            sampler: Some(Sampler::new(500, &TIMELINE)),
             timer: Some(WallProfiler::new()),
-            acct: Some(SlotAccountant::with_sampler(500)),
+            acct: Some(SlotAccountant::new()),
+            cpi_sampler: Some(Sampler::new(500, &Component::NAMES)),
             life: Some(PipeviewRecorder::new(1 << 10)),
             ..ProbeSet::default()
         };
