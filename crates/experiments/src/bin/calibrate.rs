@@ -28,8 +28,8 @@ const PAPER: &[(&str, f64)] = &[
     ("wupwise", 2.9),
 ];
 
-/// Returns (ipc, mean out-of-order-issued loads) for one candidate
-/// static program.
+/// Returns (ipc, mean out-of-order-issued loads) over the measured
+/// window of one candidate static program, after its warm-up.
 fn ipc_for(profile: &BenchProfile, pseed: u64) -> (f64, f64) {
     let prog = lsq_trace::StaticProgram::build(profile, pseed);
     let mut stream = TraceGenerator::new(profile.name, prog, 1);
@@ -38,8 +38,8 @@ fn ipc_for(profile: &BenchProfile, pseed: u64) -> (f64, f64) {
     let _ = sim.run(&mut stream, 60_000);
     let before = sim.run(&mut stream, 0);
     let after = sim.run(&mut stream, 150_000);
-    let ipc = (after.committed - before.committed) as f64 / (after.cycles - before.cycles) as f64;
-    (ipc, after.ooo_issued_loads)
+    let measured = lsq_experiments::runner::diff_results(&before, &after);
+    (measured.ipc(), measured.ooo_issued_loads)
 }
 
 fn main() {

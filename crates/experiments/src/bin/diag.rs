@@ -51,7 +51,7 @@ fn main() {
     });
     let (r, buf, sampler) = run_traced(&bench, LsqConfig::default(), false, spec, &ring);
 
-    println!("{}", r.registry(&format!("diag: {bench} (base)")).render());
+    println!("{}", r.render(&format!("diag: {bench} (base)")));
     println!();
     if buf.attribution().is_empty() {
         println!("attribution: no squashes or useless searches recorded");

@@ -34,7 +34,7 @@
 //!   `LSQ_EXPERIMENTS_JSON` record carries its per-phase wall-time
 //!   profile, and the engine prints (and exposes) the batch aggregate.
 //! * `LSQ_ACCOUNTING=1` — run every fresh job under the cycle
-//!   accountant ([`lsq_pipeline::SlotAccountant`]): each
+//!   accountant (a [`lsq_pipeline::CpiStack`] charged per slot): each
 //!   `LSQ_EXPERIMENTS_JSON` record carries its CPI stack, the engine
 //!   prints the batch aggregate, and the per-component totals are
 //!   exposed as `lsq_cpi_stack_cycles_total{component=...}`.
@@ -50,6 +50,7 @@ use lsq_pipeline::{CpiStack, PhaseProfile, SimConfig, SimResult, StageLatency};
 use lsq_util::sync::MutexExt;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IsTerminal, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -316,85 +317,47 @@ impl Engine {
         results
     }
 
-    /// Runs the uncached jobs on `workers` work-stealing threads.
-    ///
-    /// Each worker owns a deque seeded round-robin; it pops its own work
-    /// from the front and, when empty, steals from the back of a
-    /// neighbour's. No new work appears mid-run, so a worker exits once
-    /// every deque is empty.
+    /// Runs the uncached jobs on `workers` work-stealing threads (see
+    /// [`work_steal`]), reporting each claim and finish to telemetry.
     fn run_pending(&self, pending: &[(JobKey, Job)], workers: usize) -> Vec<SimResult> {
         let total = pending.len();
         if total == 0 {
             return Vec::new();
         }
         let workers = workers.clamp(1, total);
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, _) in pending.iter().enumerate() {
-            deques[i % workers].lock_unpoisoned().push_back(i);
-        }
-        let results: Vec<Mutex<Option<SimResult>>> = (0..total).map(|_| Mutex::new(None)).collect();
         let done = AtomicUsize::new(0);
         let started = Instant::now();
         let progress = progress_enabled();
         let tel = telemetry::global();
         tel.batch_started(total, workers);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let deques = &deques;
-                let results = &results;
-                let done = &done;
-                scope.spawn(move || loop {
-                    let mut stolen = false;
-                    let mut claimed = deques[w].lock_unpoisoned().pop_front();
-                    if claimed.is_none() {
-                        for (o, other) in deques.iter().enumerate() {
-                            claimed = other.lock_unpoisoned().pop_back();
-                            if claimed.is_some() {
-                                stolen = o != w;
-                                break;
-                            }
-                        }
-                    }
-                    let Some(idx) = claimed else { break };
-                    let job = pending[idx].1;
-                    tel.job_claimed(w, job_label(&job), stolen);
-                    let t0 = Instant::now();
-                    let mut r = crate::runner::run_design_point_uncached(
-                        job.bench, job.lsq, job.scaled, job.spec,
-                    );
-                    let wall = t0.elapsed();
-                    r.wall_nanos = wall.as_nanos() as u64;
-                    let simulated = (job.spec.warmup + r.committed) as f64;
-                    r.sim_mips = simulated / wall.as_secs_f64().max(1e-12) / 1e6;
-                    tel.job_finished(w, &r, job.spec.warmup);
-                    *results[idx].lock_unpoisoned() = Some(r);
-                    // lsq-lint: allow(relaxed-ordering-audit, reason = "progress tally; result hand-off is ordered by the per-slot mutex")
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
-                        report_progress(n, total, started);
-                    }
-                });
+        let results = work_steal(total, workers, |idx, w, stolen| {
+            let job = pending[idx].1;
+            tel.job_claimed(w, job_label(&job), stolen);
+            let t0 = Instant::now();
+            let mut r =
+                crate::runner::run_design_point_uncached(job.bench, job.lsq, job.scaled, job.spec);
+            let wall = t0.elapsed();
+            r.wall_nanos = wall.as_nanos() as u64;
+            let simulated = (job.spec.warmup + r.committed) as f64;
+            r.sim_mips = simulated / wall.as_secs_f64().max(1e-12) / 1e6;
+            tel.job_finished(w, &r, job.spec.warmup);
+            // lsq-lint: allow(relaxed-ordering-audit, reason = "progress tally; result hand-off is ordered by the per-slot mutex")
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if progress {
+                report_progress(n, total, started);
             }
+            r
         });
         if progress {
             eprintln!();
         }
         results
-            .into_iter()
-            .map(|slot| {
-                let r = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "thread::scope joined every worker (propagating any panic), so each slot is filled")
-                r.expect("every job runs")
-            })
-            .collect()
     }
 
     /// Writes every job recorded so far as a JSON array to `path`
-    /// (one record object per line for greppability). Failures are
-    /// reported on stderr, not fatal — a bad dump path must not kill an
-    /// hour of simulation.
+    /// (one record object per line for greppability), creating missing
+    /// parent directories. Failures are reported on stderr, not fatal —
+    /// a bad dump path must not kill an hour of simulation.
     fn dump_json(&self, path: &str) {
         let records = self.records.lock_unpoisoned();
         let mut out = String::from("[\n");
@@ -404,7 +367,7 @@ impl Engine {
             out.push_str(if i + 1 == records.len() { "\n" } else { ",\n" });
         }
         out.push_str("]\n");
-        if let Err(e) = std::fs::write(path, out) {
+        if let Err(e) = lsq_obs::write_file(Path::new(path), &out) {
             eprintln!("warning: could not write LSQ_EXPERIMENTS_JSON={path}: {e}");
         }
     }
@@ -420,40 +383,54 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let total = tasks.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let workers = worker_count(total);
+    let workers = worker_count(tasks.len());
     let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
+    work_steal(slots.len(), workers, |idx, _, _| {
+        let task = slots[idx]
+            .lock_unpoisoned()
+            .take()
+            // lsq-lint: allow(no-unwrap-in-lib, reason = "each index is enqueued exactly once, so the claimed slot still holds its closure")
+            .expect("task claimed once");
+        task()
+    })
+}
+
+/// Runs tasks `0..total` on `workers` threads (`workers ≥ 1`) and
+/// returns `run`'s results in task order. `run` gets the task index,
+/// the claiming worker, and whether that worker stole the task.
+///
+/// Each worker owns a deque seeded round-robin; it pops its own work
+/// from the front and, when empty, pops the back of the first non-empty
+/// deque in index order. No new work appears mid-run, so a worker exits
+/// once every deque is empty.
+fn work_steal<T, F>(total: usize, workers: usize, run: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, usize, bool) -> T + Sync,
+{
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for i in 0..total {
         deques[i % workers].lock_unpoisoned().push_back(i);
     }
+    let results: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let results = &results;
+            let (deques, results, run) = (&deques, &results, &run);
             scope.spawn(move || loop {
+                let mut stolen = false;
                 let mut claimed = deques[w].lock_unpoisoned().pop_front();
                 if claimed.is_none() {
-                    for other in deques.iter() {
+                    for (o, other) in deques.iter().enumerate() {
                         claimed = other.lock_unpoisoned().pop_back();
                         if claimed.is_some() {
+                            stolen = o != w;
                             break;
                         }
                     }
                 }
                 let Some(idx) = claimed else { break };
-                let task = slots[idx]
-                    .lock_unpoisoned()
-                    .take()
-                    // lsq-lint: allow(no-unwrap-in-lib, reason = "each index is enqueued exactly once, so the claimed slot still holds its closure")
-                    .expect("task claimed once");
-                *results[idx].lock_unpoisoned() = Some(task());
+                *results[idx].lock_unpoisoned() = Some(run(idx, w, stolen));
             });
         }
     });
@@ -706,6 +683,21 @@ mod tests {
             matches!(records[0].get("stage_latency"), Some(Json::Null)),
             "stage_latency field present but null without LSQ_PIPEVIEW"
         );
+    }
+
+    #[test]
+    fn json_dump_creates_its_directory() {
+        let engine = Engine::new();
+        let _ = engine.run_batch_with_workers(&[job("gzip")], Some(1));
+        let dir = std::env::temp_dir().join(format!("lsq_engine_dump_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("new").join("x.json");
+        engine.dump_json(path.to_str().unwrap());
+        let text = std::fs::read_to_string(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        let text = text.expect("the dump creates its missing directories");
+        let parsed = Json::parse(&text).expect("dump is valid JSON");
+        assert_eq!(parsed.as_arr().map(<[Json]>::len), Some(1));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! --bin artifact -- fig10` (see [`experiments::ARTIFACT_NAMES`] for the
 //! menu), or everything with `--bin all`. The instruction budget per run
 //! is controlled by the `LSQ_INSTRS` environment variable (default
-//! 200,000 after a 40,000-instruction warm-up).
+//! 250,000 after a 100,000-instruction warm-up).
 //!
 //! All runs flow through the shared [`engine`]: a work-stealing pool
 //! (`LSQ_JOBS` workers) with a result cache, so design points shared

@@ -12,7 +12,7 @@
 //! the cost is nil next to a simulation job.
 
 use lsq_obs::Json;
-use lsq_pipeline::{CpiStack, PhaseProfile, SimResult, StageLatency};
+use lsq_pipeline::{Component, CpiStack, PhaseProfile, SimResult, StageLatency};
 use lsq_telemetry::{Counter, FloatGauge, Gauge, HistogramMetric, Metrics, MetricsServer};
 use lsq_util::sync::MutexExt;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -321,15 +321,15 @@ impl EngineTelemetry {
     /// Folds one job's CPI stack into the process aggregate and the
     /// per-component exposition counters.
     fn merge_stack(&self, stack: &CpiStack) {
-        for stat in &stack.components {
+        for (component, slots) in Component::NAMES.into_iter().zip(stack.components) {
             self.metrics
                 .counter_with(
                     "lsq_cpi_stack_cycles_total",
                     "Cycle accounting: commit slots charged per CPI-stack \
                      component (commit_width slots per simulated cycle).",
-                    &[("component", &stat.component)],
+                    &[("component", component)],
                 )
-                .add(stat.slots);
+                .add(slots);
         }
         let mut agg = self.stack.lock_unpoisoned();
         match agg.as_mut() {

@@ -2,10 +2,11 @@
 //! parser.
 //!
 //! The workspace builds fully offline with no serde available, so trace
-//! sinks ([`crate::TraceBuffer`]), the experiment engine's
-//! `LSQ_EXPERIMENTS_JSON` dump, and the registry all serialize through
-//! this type — and the round-trip tests parse their own output back
-//! with [`Json::parse`] instead of string-matching on formatting.
+//! sinks ([`crate::TraceBuffer`]) and the experiment engine's
+//! `LSQ_EXPERIMENTS_JSON` dump, with the CPI stack, stage-latency and
+//! phase-profile reports it embeds, all serialize through this type —
+//! and tests parse that output back with [`Json::parse`] instead of
+//! string-matching on formatting.
 
 use std::fmt;
 

@@ -21,11 +21,9 @@
 //! * **Per-PC attribution** — [`PcAttribution`] charges violations,
 //!   squashes, and useless searches to static PCs, making Table 3's
 //!   misprediction rate debuggable.
-//! * **A metrics registry** — [`Registry`] renders counter sections as
-//!   aligned text or JSON; `bin/diag` is built on it.
 //! * **One sink writer** — [`write_file`] writes every observer file
-//!   (trace, timeline, pipeline-viewer log, CPI-stack CSV), creating
-//!   missing parent directories.
+//!   (trace, timeline, pipeline-viewer log, CPI-stack CSV) and the
+//!   experiment engine's JSON dump, creating missing parent directories.
 //! * **Env-driven wiring** — [`TraceConfig::from_env`] parses
 //!   `LSQ_TRACE=<path>[:events|:timeline|:chrome]` and
 //!   `LSQ_SAMPLE_CYCLES=<n>` so any experiment run can be traced
@@ -33,15 +31,14 @@
 //!
 //! The crate depends only on `lsq-isa` (for [`lsq_isa::Pc`] and
 //! [`lsq_isa::Addr`]) and has no external dependencies; [`json`] is a
-//! small built-in JSON builder/parser used for serialization and
-//! round-trip tests.
+//! small built-in JSON builder/parser used for serialization and by
+//! tests that read the output back.
 
 pub mod attrib;
 pub mod config;
 pub mod event;
 pub mod json;
 pub mod pipeview;
-pub mod registry;
 pub mod sample;
 pub mod tracer;
 
@@ -53,6 +50,5 @@ pub use pipeview::{
     parse_konata, parse_o3, parse_pipeview, to_konata, to_o3, ParsedInstr, PipeRecord,
     PipeviewConfig, PipeviewMode, DEFAULT_PIPEVIEW_CAPACITY,
 };
-pub use registry::{Metric, MetricValue, Registry, Section};
 pub use sample::{timeline_csv, SampleInput, Sampler, Window, TIMELINE};
 pub use tracer::{TraceBuffer, DEFAULT_RING_CAPACITY};

@@ -18,16 +18,15 @@
 //! [`Simulator::run`](crate::Simulator) and pinned by tests across all
 //! design points.
 //!
-//! A [`SlotAccountant`] is the accountant of a
+//! A [`CpiStack`] is both the report and the accountant of a
 //! [`ProbeSet`](crate::probe::ProbeSet): the simulator charges base
 //! slots through the probe's commit hook and classified stall slots
 //! through its stall hook, and with
 //! [`NopProbe`](crate::probe::NopProbe) every attribution site compiles
-//! away. [`SlotAccountant`] accumulates the stack; for
-//! `LSQ_ACCOUNTING_CSV` the probe set samples its cumulative counters
-//! ([`SlotAccountant::slots`]) into a windowed [`lsq_obs::Sampler`]
-//! labelled by [`Component::NAMES`], so the per-component timeline
-//! lands in CSV next to the IPC timeline.
+//! away. For `LSQ_ACCOUNTING_CSV` the probe set samples the stack's
+//! cumulative counters ([`CpiStack::components`]) into a windowed
+//! [`lsq_obs::Sampler`] labelled by [`Component::NAMES`], so the
+//! per-component timeline lands in CSV next to the IPC timeline.
 
 use lsq_obs::Json;
 
@@ -139,76 +138,28 @@ impl Component {
     }
 }
 
-/// Accumulates commit slots per component.
-#[derive(Debug, Clone, Default)]
-pub struct SlotAccountant {
-    commit_width: u64,
-    slots: [u64; Component::ALL.len()],
-}
-
-impl SlotAccountant {
-    /// Creates an empty accountant.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Tells the accountant the machine's commit width (slots per
-    /// cycle).
-    pub fn init(&mut self, commit_width: u64) {
-        self.commit_width = commit_width;
-    }
-
-    /// Charges `slots` commit slots to `component`.
-    #[inline]
-    pub fn charge(&mut self, component: Component, slots: u64) {
-        self.slots[component.index()] += slots;
-    }
-
-    /// The cumulative slots charged to each component, in
-    /// [`Component::ALL`] order.
-    pub fn slots(&self) -> &[u64] {
-        &self.slots
-    }
-
-    /// The accumulated stack.
-    pub fn report(&self) -> CpiStack {
-        CpiStack {
-            commit_width: self.commit_width,
-            components: Component::ALL
-                .iter()
-                .map(|&c| ComponentStat {
-                    component: c.name().to_string(),
-                    slots: self.slots[c.index()],
-                })
-                .collect(),
-        }
-    }
-}
-
-/// One component's accumulated commit slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComponentStat {
-    /// Component name (see [`Component::name`]).
-    pub component: String,
-    /// Commit slots charged.
-    pub slots: u64,
-}
-
-/// A per-run (or aggregated) CPI stack.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A per-run (or aggregated) CPI stack: the commit slots charged to
+/// each [`Component`]. It is also the accountant that collects them:
+/// the probe set charges a `CpiStack` slot by slot and reports a clone.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CpiStack {
     /// Commit slots per cycle of the machine that produced this stack.
     pub commit_width: u64,
-    /// Per-component totals, in [`Component::ALL`] order for single
-    /// runs; merged reports keep the union of component names.
-    pub components: Vec<ComponentStat>,
+    /// Slots charged to each component, in [`Component::ALL`] order.
+    pub components: [u64; Component::ALL.len()],
 }
 
 impl CpiStack {
+    /// Charges `slots` commit slots to `component`.
+    #[inline]
+    pub fn charge(&mut self, component: Component, slots: u64) {
+        self.components[component.index()] += slots;
+    }
+
     /// Total commit slots across components; equals
     /// `cycles × commit_width` by the partition invariant.
     pub fn total_slots(&self) -> u64 {
-        self.components.iter().map(|s| s.slots).sum()
+        self.components.iter().sum()
     }
 
     /// Cycles this stack accounts for (`total_slots / commit_width`).
@@ -218,31 +169,23 @@ impl CpiStack {
             .unwrap_or(0)
     }
 
-    /// Slots charged to the named component (zero if absent).
+    /// Slots charged to the named component (zero if unknown).
     pub fn slots(&self, component: &str) -> u64 {
-        self.components
+        Component::NAMES
             .iter()
-            .find(|s| s.component == component)
-            .map_or(0, |s| s.slots)
+            .position(|&c| c == component)
+            .map_or(0, |i| self.components[i])
     }
 
-    /// Folds another stack into this one, matching components by name
-    /// and appending components this stack has not seen. Both stacks
-    /// must come from machines of the same commit width.
+    /// Folds another stack into this one, component by component. Both
+    /// stacks must come from machines of the same commit width.
     pub fn merge(&mut self, other: &CpiStack) {
         debug_assert_eq!(
             self.commit_width, other.commit_width,
             "merging stacks from different commit widths"
         );
-        for stat in &other.components {
-            match self
-                .components
-                .iter_mut()
-                .find(|s| s.component == stat.component)
-            {
-                Some(mine) => mine.slots += stat.slots,
-                None => self.components.push(stat.clone()),
-            }
+        for (mine, theirs) in self.components.iter_mut().zip(other.components) {
+            *mine += theirs;
         }
     }
 
@@ -255,27 +198,20 @@ impl CpiStack {
     /// In debug builds, if `earlier` charges more slots to some
     /// component than `self` (not a snapshot of the same run).
     pub fn minus(&self, earlier: &CpiStack) -> CpiStack {
-        CpiStack {
-            commit_width: self.commit_width,
-            components: self
-                .components
-                .iter()
-                .map(|s| {
-                    let before = earlier.slots(&s.component);
-                    debug_assert!(
-                        s.slots >= before,
-                        "{}: {} < {} — not a later snapshot of the same run",
-                        s.component,
-                        s.slots,
-                        before
-                    );
-                    ComponentStat {
-                        component: s.component.clone(),
-                        slots: s.slots.saturating_sub(before),
-                    }
-                })
-                .collect(),
+        let mut d = self.clone();
+        for ((slots, before), name) in d
+            .components
+            .iter_mut()
+            .zip(earlier.components)
+            .zip(Component::NAMES)
+        {
+            debug_assert!(
+                *slots >= before,
+                "{name}: {slots} < {before} — not a later snapshot of the same run"
+            );
+            *slots = slots.saturating_sub(before);
         }
+        d
     }
 
     /// Serializes as
@@ -286,31 +222,13 @@ impl CpiStack {
             (
                 "components",
                 Json::obj(
-                    self.components
-                        .iter()
-                        .map(|s| (s.component.as_str(), s.slots.into()))
+                    Component::NAMES
+                        .into_iter()
+                        .zip(self.components.map(Json::from))
                         .collect(),
                 ),
             ),
         ])
-    }
-
-    /// Parses the [`CpiStack::to_json`] layout; `None` on shape
-    /// mismatch.
-    pub fn from_json(json: &Json) -> Option<Self> {
-        let commit_width = json.get("commit_width")?.as_u64()?;
-        let obj = json.get("components")?.as_obj()?;
-        let mut components = Vec::with_capacity(obj.len());
-        for (name, slots) in obj {
-            components.push(ComponentStat {
-                component: name.clone(),
-                slots: slots.as_u64()?,
-            });
-        }
-        Some(Self {
-            commit_width,
-            components,
-        })
     }
 
     /// A human-readable table: component, slots, share of all slots,
@@ -321,17 +239,17 @@ impl CpiStack {
         let total = self.total_slots().max(1);
         let denom = self.commit_width.saturating_mul(committed);
         let mut out = String::from("component             slots   share      cpi\n");
-        for s in &self.components {
+        for (name, slots) in Component::NAMES.iter().zip(self.components) {
             let cpi = if denom == 0 {
                 0.0
             } else {
-                s.slots as f64 / denom as f64
+                slots as f64 / denom as f64
             };
             out.push_str(&format!(
                 "{:<18} {:>9} {:>6.1}% {:>8.4}\n",
-                s.component,
-                s.slots,
-                100.0 * s.slots as f64 / total as f64,
+                name,
+                slots,
+                100.0 * slots as f64 / total as f64,
                 cpi,
             ));
         }
@@ -343,74 +261,72 @@ impl CpiStack {
 mod tests {
     use super::*;
 
-    #[test]
-    fn slot_accountant_accumulates_per_component() {
-        let mut a = SlotAccountant::new();
-        a.init(8);
-        a.charge(Component::Base, 3);
-        a.charge(Component::DepChain, 5);
-        a.charge(Component::Base, 8);
-        let stack = a.report();
-        assert_eq!(stack.slots("base"), 11);
-        assert_eq!(stack.slots("dep_chain"), 5);
-        assert_eq!(stack.total_slots(), 16);
-        assert_eq!(stack.cycles(), 2);
-        // Every component appears, even untouched ones.
-        assert_eq!(stack.components.len(), Component::ALL.len());
+    fn stack(charges: &[(Component, u64)]) -> CpiStack {
+        let mut s = CpiStack {
+            commit_width: 8,
+            ..CpiStack::default()
+        };
+        for &(c, n) in charges {
+            s.charge(c, n);
+        }
+        s
     }
 
     #[test]
-    fn merge_matches_by_name() {
-        let mut a = SlotAccountant::new();
-        a.init(8);
-        a.charge(Component::Base, 8);
-        let mut merged = a.report();
-        let mut b = SlotAccountant::new();
-        b.init(8);
-        b.charge(Component::Base, 4);
-        b.charge(Component::SearchPort, 4);
-        merged.merge(&b.report());
-        assert_eq!(merged.slots("base"), 12);
-        assert_eq!(merged.slots("search_port"), 4);
+    fn charges_accumulate_per_component() {
+        let stack = stack(&[
+            (Component::Base, 3),
+            (Component::DepChain, 5),
+            (Component::Base, 8),
+        ]);
+        assert_eq!(stack.slots("base"), 11);
+        assert_eq!(stack.slots("dep_chain"), 5);
+        assert_eq!(stack.slots("no_such_component"), 0);
+        assert_eq!(stack.total_slots(), 16);
+        assert_eq!(stack.cycles(), 2);
+    }
+
+    #[test]
+    fn merge_adds_component_wise() {
+        let mut merged = stack(&[(Component::Base, 8)]);
+        merged.merge(&stack(&[(Component::Base, 4), (Component::SearchPort, 4)]));
+        assert_eq!(
+            merged,
+            stack(&[(Component::Base, 12), (Component::SearchPort, 4)])
+        );
         assert_eq!(merged.total_slots(), 16);
     }
 
     #[test]
     fn minus_recovers_the_measured_window() {
-        let mut a = SlotAccountant::new();
-        a.init(8);
-        a.charge(Component::Base, 5);
-        a.charge(Component::CacheMem, 3);
-        let before = a.report();
-        a.charge(Component::Base, 2);
-        a.charge(Component::CacheMem, 6);
-        let after = a.report();
+        let before = stack(&[(Component::Base, 5), (Component::CacheMem, 3)]);
+        let mut after = before.clone();
+        after.charge(Component::Base, 2);
+        after.charge(Component::CacheMem, 6);
         let diff = after.minus(&before);
-        assert_eq!(diff.slots("base"), 2);
-        assert_eq!(diff.slots("cache_mem"), 6);
-        assert_eq!(diff.total_slots(), 8);
+        assert_eq!(
+            diff,
+            stack(&[(Component::Base, 2), (Component::CacheMem, 6)])
+        );
         assert_eq!(diff.cycles(), 1);
     }
 
     #[test]
-    fn json_round_trip() {
-        let mut a = SlotAccountant::new();
-        a.init(8);
-        a.charge(Component::SegmentOverhead, 42);
-        a.charge(Component::Base, 1);
-        let stack = a.report();
-        let text = stack.to_json().to_string();
-        let back = CpiStack::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, stack);
+    fn json_keys_every_component_in_report_order() {
+        let stack = stack(&[(Component::SegmentOverhead, 42), (Component::Base, 1)]);
+        let json = Json::parse(&stack.to_json().to_string()).unwrap();
+        assert_eq!(json.get("commit_width").and_then(Json::as_u64), Some(8));
+        let components = json.get("components").and_then(Json::as_obj).unwrap();
+        let names: Vec<&str> = components.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, Component::NAMES);
+        for ((_, slots), &expected) in components.iter().zip(&stack.components) {
+            assert_eq!(slots.as_u64(), Some(expected));
+        }
     }
 
     #[test]
     fn render_shows_cpi_contributions() {
-        let mut a = SlotAccountant::new();
-        a.init(8);
-        a.charge(Component::Base, 800);
-        a.charge(Component::CacheL2, 800);
-        let text = a.report().render(800);
+        let text = stack(&[(Component::Base, 800), (Component::CacheL2, 800)]).render(800);
         assert!(text.contains("base"), "{text}");
         assert!(text.contains("cache_l2"), "{text}");
         // 1600 slots over 800 committed on an 8-wide machine: CPI 0.25,

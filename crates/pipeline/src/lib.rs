@@ -29,7 +29,7 @@ pub mod profile;
 pub mod result;
 pub mod sim;
 
-pub use accounting::{Component, ComponentStat, CpiStack, SlotAccountant};
+pub use accounting::{Component, CpiStack};
 pub use branch::HybridPredictor;
 pub use config::SimConfig;
 pub use lifecycle::{

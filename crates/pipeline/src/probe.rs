@@ -17,14 +17,14 @@
 //!   `zero-cost-nop` lint checks the contract.
 //! * [`ProbeSet`] — optional recorders behind the hooks: the event ring
 //!   ([`TraceBuffer`]), the phase timer ([`WallProfiler`]), the slot
-//!   accountant ([`SlotAccountant`]), the lifecycle recorder
-//!   ([`PipeviewRecorder`]), and two windowed [`Sampler`]s fed at each
-//!   cycle end: the timeline, over the [`TIMELINE`] counters, and the
-//!   CPI stack, over the accountant's per-component slot counters.
+//!   accountant (a [`CpiStack`] charged slot by slot), the lifecycle
+//!   recorder ([`PipeviewRecorder`]), and two windowed [`Sampler`]s fed
+//!   at each cycle end: the timeline, over the [`TIMELINE`] counters,
+//!   and the CPI stack, over the accountant's per-component slots.
 //!   [`ProbeSet::from_env`] builds it from the `LSQ_*` knobs, and its
 //!   [`Sinks`] name the files the recorders are written to.
 
-use crate::accounting::{Component, SlotAccountant};
+use crate::accounting::{Component, CpiStack};
 use crate::config::SimConfig;
 use crate::lifecycle::PipeviewRecorder;
 use crate::profile::{Phase, WallProfiler};
@@ -255,7 +255,7 @@ pub struct ProbeSet {
     /// The per-phase wall-time profiler.
     pub timer: Option<WallProfiler>,
     /// The CPI-stack cycle accountant.
-    pub acct: Option<SlotAccountant>,
+    pub acct: Option<CpiStack>,
     /// The windowed CPI-stack sampler, over [`Component::NAMES`]. It is
     /// fed from `acct`'s counters, so it records nothing without `acct`.
     pub cpi_sampler: Option<Sampler>,
@@ -277,7 +277,7 @@ impl ProbeSet {
     /// * `LSQ_TRACE` (+ `LSQ_TRACE_CAP`, `LSQ_SAMPLE_CYCLES`): event ring
     ///   and timeline sampler;
     /// * `LSQ_PROFILE`: phase timer;
-    /// * `LSQ_ACCOUNTING` (+ `LSQ_ACCOUNTING_CSV`): slot accountant (and
+    /// * `LSQ_ACCOUNTING` (+ `LSQ_ACCOUNTING_CSV`): CPI-stack accountant (and
     ///   CPI-stack sampler);
     /// * `LSQ_PIPEVIEW` (+ `LSQ_PIPEVIEW_CAP`): lifecycle recorder.
     pub fn from_env() -> Option<ProbeSet> {
@@ -299,7 +299,7 @@ impl ProbeSet {
                 .and_then(TraceConfig::effective_sample_cycles)
                 .map(|window| Sampler::new(window, &TIMELINE)),
             timer: profile.then(WallProfiler::new),
-            acct: accounting.then(SlotAccountant::new),
+            acct: accounting.then(CpiStack::default),
             cpi_sampler: cpi_csv
                 .as_ref()
                 .map(|(_, window)| Sampler::new(*window, &Component::NAMES)),
@@ -367,7 +367,7 @@ impl Probe for ProbeSet {
 
     fn init(&mut self, cfg: &SimConfig) {
         if let Some(a) = &mut self.acct {
-            a.init(cfg.commit_width as u64);
+            a.commit_width = cfg.commit_width as u64;
         }
         // The in-flight seq window is bounded by the ROB plus the fetch
         // buffer (2 × fetch width); the recorder sizes its live array
@@ -401,7 +401,7 @@ impl Probe for ProbeSet {
             );
         }
         if let (Some(s), Some(a)) = (&mut self.cpi_sampler, &self.acct) {
-            s.observe(self.cycle, a.slots());
+            s.observe(self.cycle, &a.components);
         }
     }
 
@@ -539,7 +539,7 @@ impl Probe for ProbeSet {
 
     fn report(&self, result: &mut SimResult) {
         result.profile = self.timer.as_ref().map(WallProfiler::report);
-        result.cpi_stack = self.acct.as_ref().map(SlotAccountant::report);
+        result.cpi_stack = self.acct.clone();
         result.stage_latency = self.life.as_ref().map(PipeviewRecorder::report);
     }
 }
@@ -583,7 +583,7 @@ mod tests {
     fn cycle_end_feeds_both_samplers_cumulative_counters() {
         let mut probe = ProbeSet {
             sampler: Some(Sampler::new(2, &TIMELINE)),
-            acct: Some(SlotAccountant::new()),
+            acct: Some(CpiStack::default()),
             cpi_sampler: Some(Sampler::new(2, &Component::NAMES)),
             ..ProbeSet::default()
         };

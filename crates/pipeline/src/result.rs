@@ -100,98 +100,129 @@ impl SimResult {
         }
     }
 
-    /// Every counter of this result as a metrics registry — the single
-    /// source for `bin/diag`'s text report and the experiment engine's
-    /// JSON records, including the Table 3 predictor counters.
-    pub fn registry(&self, title: &str) -> lsq_obs::Registry {
-        use lsq_obs::Registry;
+    /// Every counter of this result as aligned text under `title` —
+    /// `bin/diag`'s report, including the Table 3 predictor counters.
+    /// Counts print as integers, floats to four places and rates as
+    /// percentages; one name column spans every section.
+    pub fn render(&self, title: &str) -> String {
         let s = &self.lsq;
-        let mut reg = Registry::new(title)
-            .section(
-                Registry::named("run")
-                    .count("cycles", self.cycles)
-                    .count("committed", self.committed)
-                    .float("ipc", self.ipc())
-                    .count("hit_cycle_cap", u64::from(self.hit_cycle_cap)),
-            )
-            .section(
-                Registry::named("volume")
-                    .count("loads_committed", self.loads_committed)
-                    .count("stores_committed", self.stores_committed)
-                    .count("branches_committed", self.branches_committed)
-                    .count("loads_dispatched", s.loads_dispatched)
-                    .count("stores_dispatched", s.stores_dispatched)
-                    .count("loads_issued", s.loads_issued)
-                    .count("stores_issued", s.stores_issued),
-            )
-            .section(
-                Registry::named("frontend")
-                    .count("branch_predictions", self.branch_predictions)
-                    .count("branch_mispredictions", self.branch_mispredictions)
-                    .percent(
-                        "branch_mispredict_rate",
-                        self.branch_mispredict_rate() * 100.0,
-                    ),
-            )
-            .section(
-                Registry::named("memory")
-                    .percent("l1d_miss_rate", self.l1d_miss_rate * 100.0)
-                    .percent("l2_miss_rate", self.l2_miss_rate * 100.0),
-            )
-            .section(
-                Registry::named("searches")
-                    .count("sq_searches", s.sq_searches)
-                    .count("sq_search_hits", s.sq_search_hits)
-                    .percent("sq_search_fraction", s.sq_search_fraction() * 100.0)
-                    .count("lq_searches_by_stores", s.lq_searches_by_stores)
-                    .count("lq_searches_by_loads", s.lq_searches_by_loads)
-                    .count("lb_searches", s.lb_searches),
-            )
-            .section(
-                Registry::named("predictor (Table 3)")
-                    .count("violations", s.violations)
-                    .count("commit_violations", s.commit_violations)
-                    .count("useless_searches", s.useless_searches)
-                    .count("load_load_violations", s.load_load_violations)
-                    .percent("pair_mispred_rate", s.pair_mispred_rate() * 100.0)
-                    .percent("pair_squash_rate", s.pair_squash_rate() * 100.0)
-                    .count("store_set_waits", s.store_set_waits),
-            )
-            .section(
-                Registry::named("squashes")
-                    .count("violation_squashes", self.violation_squashes)
-                    .count("instructions_squashed", self.instructions_squashed)
-                    .count("invalidations", s.invalidations)
-                    .count("invalidation_squashes", s.invalidation_squashes),
-            )
-            .section(
-                Registry::named("stalls")
-                    .count("sq_port_stalls", s.sq_port_stalls)
-                    .count("lq_port_stalls", s.lq_port_stalls)
-                    .count("commit_port_delays", s.commit_port_delays)
-                    .count("lb_full_stalls", s.lb_full_stalls)
-                    .count("in_order_stalls", s.in_order_stalls),
-            )
-            .section(
-                Registry::named("occupancy")
-                    .float("lq_occupancy", self.lq_occupancy)
-                    .float("sq_occupancy", self.sq_occupancy)
-                    .float("ooo_issued_loads", self.ooo_issued_loads)
-                    .float("inflight_loads", self.inflight_loads),
-            );
+        let n = |v: u64| v.to_string();
+        let f = |v: f64| format!("{v:.4}");
+        let pct = |rate: f64| format!("{:.2}%", rate * 100.0);
+        let mut sections: Vec<(&str, Vec<(&str, String)>)> = vec![
+            (
+                "run",
+                vec![
+                    ("cycles", n(self.cycles)),
+                    ("committed", n(self.committed)),
+                    ("ipc", f(self.ipc())),
+                    ("hit_cycle_cap", n(u64::from(self.hit_cycle_cap))),
+                ],
+            ),
+            (
+                "volume",
+                vec![
+                    ("loads_committed", n(self.loads_committed)),
+                    ("stores_committed", n(self.stores_committed)),
+                    ("branches_committed", n(self.branches_committed)),
+                    ("loads_dispatched", n(s.loads_dispatched)),
+                    ("stores_dispatched", n(s.stores_dispatched)),
+                    ("loads_issued", n(s.loads_issued)),
+                    ("stores_issued", n(s.stores_issued)),
+                ],
+            ),
+            (
+                "frontend",
+                vec![
+                    ("branch_predictions", n(self.branch_predictions)),
+                    ("branch_mispredictions", n(self.branch_mispredictions)),
+                    ("branch_mispredict_rate", pct(self.branch_mispredict_rate())),
+                ],
+            ),
+            (
+                "memory",
+                vec![
+                    ("l1d_miss_rate", pct(self.l1d_miss_rate)),
+                    ("l2_miss_rate", pct(self.l2_miss_rate)),
+                ],
+            ),
+            (
+                "searches",
+                vec![
+                    ("sq_searches", n(s.sq_searches)),
+                    ("sq_search_hits", n(s.sq_search_hits)),
+                    ("sq_search_fraction", pct(s.sq_search_fraction())),
+                    ("lq_searches_by_stores", n(s.lq_searches_by_stores)),
+                    ("lq_searches_by_loads", n(s.lq_searches_by_loads)),
+                    ("lb_searches", n(s.lb_searches)),
+                ],
+            ),
+            (
+                "predictor (Table 3)",
+                vec![
+                    ("violations", n(s.violations)),
+                    ("commit_violations", n(s.commit_violations)),
+                    ("useless_searches", n(s.useless_searches)),
+                    ("load_load_violations", n(s.load_load_violations)),
+                    ("pair_mispred_rate", pct(s.pair_mispred_rate())),
+                    ("pair_squash_rate", pct(s.pair_squash_rate())),
+                    ("store_set_waits", n(s.store_set_waits)),
+                ],
+            ),
+            (
+                "squashes",
+                vec![
+                    ("violation_squashes", n(self.violation_squashes)),
+                    ("instructions_squashed", n(self.instructions_squashed)),
+                    ("invalidations", n(s.invalidations)),
+                    ("invalidation_squashes", n(s.invalidation_squashes)),
+                ],
+            ),
+            (
+                "stalls",
+                vec![
+                    ("sq_port_stalls", n(s.sq_port_stalls)),
+                    ("lq_port_stalls", n(s.lq_port_stalls)),
+                    ("commit_port_delays", n(s.commit_port_delays)),
+                    ("lb_full_stalls", n(s.lb_full_stalls)),
+                    ("in_order_stalls", n(s.in_order_stalls)),
+                ],
+            ),
+            (
+                "occupancy",
+                vec![
+                    ("lq_occupancy", f(self.lq_occupancy)),
+                    ("sq_occupancy", f(self.sq_occupancy)),
+                    ("ooo_issued_loads", f(self.ooo_issued_loads)),
+                    ("inflight_loads", f(self.inflight_loads)),
+                ],
+            ),
+        ];
         // Segment-search depth distribution, only meaningful when the
         // histogram saw any searches.
+        let depths: Vec<String> = s
+            .seg_search_hist
+            .iter()
+            .map(|(k, _)| format!("within_{}_segments", k + 1))
+            .collect();
         if s.seg_search_hist.count() > 0 {
-            let mut seg = Registry::named("segment searches");
-            for (k, _) in s.seg_search_hist.iter() {
-                seg = seg.percent(
-                    &format!("within_{}_segments", k + 1),
-                    s.seg_search_fraction(k) * 100.0,
-                );
-            }
-            reg = reg.section(seg);
+            let rows = depths.iter().enumerate();
+            let rows = rows.map(|(k, name)| (name.as_str(), pct(s.seg_search_fraction(k))));
+            sections.push(("segment searches", rows.collect()));
         }
-        reg
+        let width = sections
+            .iter()
+            .flat_map(|(_, rows)| rows.iter().map(|(name, _)| name.len()))
+            .max()
+            .unwrap_or(0);
+        let mut out = format!("=== {title} ===\n");
+        for (section, rows) in &sections {
+            out.push_str(&format!("\n[{section}]\n"));
+            for (name, value) in rows {
+                out.push_str(&format!("  {name:<width$}  {value:>14}\n"));
+            }
+        }
+        out
     }
 }
 
@@ -245,41 +276,99 @@ mod tests {
     }
 
     #[test]
-    fn registry_carries_table3_counters_and_round_trips() {
+    fn render_prints_every_section_in_one_aligned_column() {
         let mut r = blank();
         r.cycles = 200;
         r.committed = 100;
+        r.branch_predictions = 8;
+        r.branch_mispredictions = 1;
+        r.l1d_miss_rate = 0.25;
+        r.lq_occupancy = 1.5;
         r.lsq.commit_violations = 7;
         r.lsq.useless_searches = 11;
         r.lsq.load_load_violations = 3;
-        let reg = r.registry("unit test");
-        let text = reg.render();
-        assert!(text.contains("predictor (Table 3)"));
-        assert!(text.contains("commit_violations"));
-        assert!(text.contains("useless_searches"));
-        assert!(text.contains("load_load_violations"));
-        let json = lsq_obs::Json::parse(&reg.to_json().to_string()).unwrap();
-        let pred = json.get("predictor (Table 3)").unwrap();
+        let body = "\
+=== unit test ===
+
+[run]
+  cycles                             200
+  committed                          100
+  ipc                             0.5000
+  hit_cycle_cap                        0
+
+[volume]
+  loads_committed                      0
+  stores_committed                     0
+  branches_committed                   0
+  loads_dispatched                     0
+  stores_dispatched                    0
+  loads_issued                         0
+  stores_issued                        0
+
+[frontend]
+  branch_predictions                   8
+  branch_mispredictions                1
+  branch_mispredict_rate          12.50%
+
+[memory]
+  l1d_miss_rate                   25.00%
+  l2_miss_rate                     0.00%
+
+[searches]
+  sq_searches                          0
+  sq_search_hits                       0
+  sq_search_fraction               0.00%
+  lq_searches_by_stores                0
+  lq_searches_by_loads                 0
+  lb_searches                          0
+
+[predictor (Table 3)]
+  violations                           0
+  commit_violations                    7
+  useless_searches                    11
+  load_load_violations                 3
+  pair_mispred_rate                0.00%
+  pair_squash_rate                 0.00%
+  store_set_waits                      0
+
+[squashes]
+  violation_squashes                   0
+  instructions_squashed                0
+  invalidations                        0
+  invalidation_squashes                0
+
+[stalls]
+  sq_port_stalls                       0
+  lq_port_stalls                       0
+  commit_port_delays                   0
+  lb_full_stalls                       0
+  in_order_stalls                      0
+
+[occupancy]
+  lq_occupancy                    1.5000
+  sq_occupancy                    0.0000
+  ooo_issued_loads                0.0000
+  inflight_loads                  0.0000
+";
         assert_eq!(
-            pred.get("commit_violations")
-                .and_then(lsq_obs::Json::as_u64),
-            Some(7)
+            r.render("unit test"),
+            body,
+            "no segment searches, no section"
         );
-        assert_eq!(
-            pred.get("useless_searches").and_then(lsq_obs::Json::as_u64),
-            Some(11)
-        );
-        assert_eq!(
-            pred.get("load_load_violations")
-                .and_then(lsq_obs::Json::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            json.get("run")
-                .and_then(|r| r.get("ipc"))
-                .and_then(lsq_obs::Json::as_f64),
-            Some(0.5)
-        );
+
+        r.lsq = LsqStats::new(2);
+        for depth in [0, 0, 1] {
+            r.lsq.seg_search_hist.record(depth);
+        }
+        r.lsq.commit_violations = 7;
+        r.lsq.useless_searches = 11;
+        r.lsq.load_load_violations = 3;
+        let segments = "
+[segment searches]
+  within_1_segments               66.67%
+  within_2_segments               33.33%
+";
+        assert_eq!(r.render("unit test"), format!("{body}{segments}"));
     }
 
     #[test]

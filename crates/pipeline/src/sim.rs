@@ -1717,7 +1717,7 @@ mod tests {
 
     #[test]
     fn accounted_run_partitions_every_commit_slot() {
-        use crate::accounting::SlotAccountant;
+        use crate::accounting::CpiStack;
         use crate::probe::ProbeSet;
         // A mixed workload exercising loads, branches, and dep chains.
         let mut instrs = Vec::new();
@@ -1741,7 +1741,7 @@ mod tests {
         let n = instrs.len() as u64;
         let mut stream = VecStream::new(instrs);
         let probe = ProbeSet {
-            acct: Some(SlotAccountant::new()),
+            acct: Some(CpiStack::default()),
             ..ProbeSet::default()
         };
         let mut sim = Simulator::with_probe(SimConfig::default(), probe);

@@ -80,30 +80,6 @@ impl Histogram {
         }
     }
 
-    /// Reconstructs a histogram from per-bucket counts and the overflow
-    /// count — the inverse of serializing [`Histogram::iter`] plus
-    /// [`Histogram::overflow`]. Overflowed observations are already
-    /// clamped into the last bucket, so the total is the bucket sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is empty or `overflow` exceeds the last
-    /// bucket's count (no clamped observation could have produced it).
-    pub fn from_parts(buckets: Vec<u64>, overflow: u64) -> Self {
-        assert!(!buckets.is_empty(), "histogram needs at least one bucket");
-        assert!(
-            // lsq-lint: allow(no-unwrap-in-lib, reason = "emptiness checked on the previous line")
-            overflow <= *buckets.last().expect("non-empty"),
-            "overflow exceeds the last bucket's count"
-        );
-        let total = buckets.iter().sum();
-        Self {
-            buckets,
-            overflow,
-            total,
-        }
-    }
-
     /// Records one observation of `value`.
     #[inline]
     pub fn record(&mut self, value: usize) {

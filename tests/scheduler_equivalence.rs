@@ -15,7 +15,7 @@
 
 use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
 use lsq::experiments::runner::diff_results;
-use lsq::pipeline::{PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator, SlotAccountant};
+use lsq::pipeline::{CpiStack, PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator};
 use lsq::trace::BenchProfile;
 
 const WARMUP: u64 = 3_000;
@@ -43,7 +43,7 @@ fn run_accounted(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
     let profile = BenchProfile::named(bench).expect("known benchmark");
     let mut stream = profile.stream(1);
     let probe = ProbeSet {
-        acct: Some(SlotAccountant::new()),
+        acct: Some(CpiStack::default()),
         ..ProbeSet::default()
     };
     let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq_cfg), probe);

@@ -7,7 +7,7 @@
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
 use lsq::obs::{timeline_csv, Event, Json, MissLevel, Sampler, TraceBuffer, TraceConfig, TIMELINE};
 use lsq::pipeline::{
-    Component, NopProbe, PipeviewRecorder, Probe, ProbeSet, SlotAccountant, WallProfiler,
+    Component, CpiStack, NopProbe, PipeviewRecorder, Probe, ProbeSet, WallProfiler,
 };
 use lsq::prelude::*;
 
@@ -354,7 +354,7 @@ fn all_recorders_on_match_the_nop_probe() {
             trace: Some(TraceBuffer::with_capacity(1 << 10)),
             sampler: Some(Sampler::new(500, &TIMELINE)),
             timer: Some(WallProfiler::new()),
-            acct: Some(SlotAccountant::new()),
+            acct: Some(CpiStack::default()),
             cpi_sampler: Some(Sampler::new(500, &Component::NAMES)),
             life: Some(PipeviewRecorder::new(1 << 10)),
             ..ProbeSet::default()
