@@ -85,8 +85,17 @@ const ALLOC_TYPES: &[&str] = &[
 ];
 /// Allocating associated functions on [`ALLOC_TYPES`].
 const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
-/// Allocating (or container-cloning) method calls.
-const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_owned", "to_string", "clone"];
+/// Allocating (or container-cloning) method calls, and map-entry growth.
+const ALLOC_METHODS: &[&str] = &[
+    "collect",
+    "to_vec",
+    "to_owned",
+    "to_string",
+    "clone",
+    "or_default",
+    "or_insert",
+    "or_insert_with",
+];
 
 fn hot_path_alloc(f: &FileCtx, out: &mut Vec<Diagnostic>) {
     let t = &f.lexed.toks;

@@ -56,6 +56,34 @@ fn hot_fn_flags_macro_method_and_clone_allocs() {
 }
 
 #[test]
+fn hot_fn_flags_map_entry_growth() {
+    for body in [
+        "self.waiters.entry(p).or_default().push(c);",
+        "*counts.entry(k).or_insert(0) += 1;",
+        "*map.entry(k).or_insert_with(|| 0) += v;",
+    ] {
+        let src = format!("// lsq-lint: hot\nfn wake(&mut self) {{ {body} }}\n");
+        assert_eq!(
+            fired_lib(&src),
+            vec![rules::HOT_PATH_ALLOC],
+            "should fire on `{body}`"
+        );
+    }
+}
+
+#[test]
+fn map_entry_growth_outside_hot_region_is_clean() {
+    let src = "// lsq-lint: hot\nfn search(&self) { self.buf.clear(); }\nfn cold(&mut self) { self.m.entry(k).or_default().push(v); }\n";
+    assert!(fired_lib(src).is_empty());
+}
+
+#[test]
+fn unwrap_or_default_is_not_map_growth() {
+    let src = "// lsq-lint: hot\nfn search(&self) -> u32 { self.get(k).unwrap_or_default() }\n";
+    assert!(fired_lib(src).is_empty());
+}
+
+#[test]
 fn hot_mod_covers_every_function_inside() {
     let src = "// lsq-lint: hot\nmod inner {\n    fn a() { let v = vec![1]; }\n    fn b() { let s = x.to_owned(); }\n}\n";
     assert_eq!(

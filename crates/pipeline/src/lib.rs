@@ -27,6 +27,7 @@ pub mod lifecycle;
 pub mod probe;
 pub mod profile;
 pub mod result;
+mod sched;
 pub mod sim;
 
 pub use accounting::{Component, CpiStack};

@@ -25,8 +25,9 @@ pub enum Phase {
     Fetch,
     /// Dispatch stage: rename, ROB/IQ/LSQ allocation.
     Dispatch,
-    /// Issue stage: event-driven wakeup (calendar/ready drain) plus
-    /// execute-side bookkeeping. Includes [`Phase::LsqSearch`].
+    /// Issue stage: event-driven wakeup (calendar drain into the ready
+    /// mask), the select loop, and execute-side bookkeeping. Includes
+    /// [`Phase::LsqSearch`].
     WakeupIssue,
     /// Issue-side SQ/LQ/LB associative searches (`load_issue` /
     /// `store_issue`). Nested inside [`Phase::WakeupIssue`].

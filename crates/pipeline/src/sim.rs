@@ -27,48 +27,45 @@ use crate::config::SimConfig;
 use crate::probe::{LsqOp, LsqSearch, NopProbe, Probe};
 use crate::profile::Phase;
 use crate::result::SimResult;
+use crate::sched::{age_order, Scheduler};
 use lsq_core::{LoadIssue, Lsq, StoreDrain, StoreIssue};
 use lsq_isa::{Addr, InstrKind, Instruction, InstructionStream, Pc};
 use lsq_mem::{Access, MemoryHierarchy};
 use lsq_obs::{MissLevel, SampleInput, SquashCause};
 use lsq_stats::RunningMean;
 use lsq_util::rng::Xoshiro256;
-use lsq_util::{FastHashMap, RingQueue};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// Dispatched, waiting in the issue queue.
-    Waiting,
-    /// Issued to a functional unit / the memory system.
-    Issued,
-}
+use lsq_util::RingQueue;
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy)]
 struct DynInst {
     instr: Instruction,
     /// Producer sequence numbers this instruction waits on.
     deps: [Option<u64>; 2],
-    state: State,
-    /// Cycle at which the result is available (valid once issued).
+    /// `None` while waiting in the issue queue.
+    issued: Option<Issued>,
+}
+
+/// How an instruction executes, fixed when it issues.
+#[derive(Debug, Clone, Copy, Default)]
+struct Issued {
+    /// Cycle at which the result is available.
     complete_at: u64,
     /// Extra cycles dependents wait beyond `complete_at` (late wakeup).
     wakeup_extra: u32,
-    /// Event scheduler: producers not yet issued (one count per `deps`
-    /// slot, so a duplicated producer counts twice).
-    pending_deps: u8,
-    /// Event scheduler: cycle by which every already-issued producer's
-    /// result is available (meaningful while `pending_deps == 0`).
-    ready_at: u64,
-    /// Cycle accounting: deepest hierarchy level this load's access
-    /// reached (0 = L1/forwarded, 1 = L2, 2 = memory). Only written
-    /// when the probe is enabled.
-    mem_level: u8,
-    /// Cycle accounting: extra cycles charged by a variable-latency
-    /// segmented forwarding search. Only written when the probe is
-    /// enabled.
+    /// Cycle accounting: a segmented search's variable extra cycles.
     seg_extra: u32,
+    /// Cycle accounting: a load's level (0 L1/forwarded, 1 L2, 2 memory).
+    mem_level: u8,
+}
+
+impl DynInst {
+    /// The cycle dependents may issue, once this instruction has issued.
+    #[inline]
+    fn wake(&self) -> Option<u64> {
+        self.issued
+            .map(|i| i.complete_at + u64::from(i.wakeup_extra))
+    }
 }
 
 /// Why fetch is stalled (cycle accounting only): distinguishes the
@@ -110,35 +107,12 @@ pub struct Simulator<P: Probe = NopProbe> {
     probe: P,
     bp: HybridPredictor,
     rob: RingQueue<DynInst>,
-    /// Issue-queue occupancy, maintained by both scheduler modes and
-    /// used for dispatch backpressure.
-    iq_len: usize,
-    /// Event scheduler: instructions whose dependencies are all
-    /// satisfied. A min-heap on seq — the issue queue is filled in
-    /// program order, so popping ascending seqs reproduces the
-    /// program-order scan of the polling scheduler exactly.
-    ready: BinaryHeap<Reverse<u64>>,
-    /// Event scheduler: completion calendar of `(wake cycle, seq)` for
-    /// instructions whose last producer has issued but whose result is
-    /// not yet available. Entries move to `ready` exactly once.
-    calendar: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Event scheduler: producer seq → consumers subscribed to its
-    /// issue (late wakeup is folded in at notification time).
-    waiters: FastHashMap<u64, Vec<u64>>,
-    /// Event scheduler: producers with a nonzero late-wakeup penalty →
-    /// consumers whose `ready_at` folded that penalty in. Retirement
-    /// makes a result architecturally visible immediately, which can
-    /// precede `complete_at + wakeup_extra`; committing such a producer
-    /// re-relaxes its consumers (see [`Self::relax_late_wakeups`]).
-    late_waiters: FastHashMap<u64, Vec<u64>>,
-    /// Scratch for resource-stalled candidates re-queued after each
-    /// issue scan.
-    deferred: Vec<u64>,
-    /// Reference polling scheduler (equivalence testing): when `Some`,
-    /// issue re-scans this program-ordered list against the ROB every
-    /// cycle, exactly like the pre-event-wakeup code, and the event
-    /// structures above stay empty.
-    polling_iq: Option<Vec<u64>>,
+    /// The issue queue and its wakeup structures.
+    sched: Scheduler,
+    /// Select's snapshot of the candidate mask, one bit per ROB slot.
+    candidates: Vec<u64>,
+    /// Reference polling scheduler (see [`Self::set_reference_scheduler`]).
+    reference: bool,
     /// Architectural register → producing in-flight instruction.
     rename: [Option<u64>; 64],
     /// Fetched but not yet dispatched instructions.
@@ -211,16 +185,14 @@ impl<P: Probe> Simulator<P> {
             probe,
             bp: HybridPredictor::new(),
             rob: RingQueue::new(cfg.rob_entries),
-            iq_len: 0,
-            ready: BinaryHeap::new(),
-            calendar: BinaryHeap::new(),
-            waiters: FastHashMap::default(),
-            late_waiters: FastHashMap::default(),
-            deferred: Vec::new(),
-            polling_iq: None,
+            sched: Scheduler::new(cfg.rob_entries),
+            candidates: vec![0; cfg.rob_entries.next_power_of_two().div_ceil(64)],
+            reference: false,
             rename: [None; 64],
-            frontend: VecDeque::new(),
-            replay: VecDeque::new(),
+            frontend: VecDeque::with_capacity(2 * cfg.fetch_width),
+            // Correct-path instructions from the ROB head to the
+            // youngest ever fetched: at most a full ROB and frontend.
+            replay: VecDeque::with_capacity(cfg.rob_entries + 2 * cfg.fetch_width),
             replay_base: 0,
             next_fetch: 0,
             fetch_resume_at: 0,
@@ -253,19 +225,20 @@ impl<P: Probe> Simulator<P> {
         &self.cfg
     }
 
-    /// Switches to the reference polling scheduler: `issue` re-scans the
-    /// full issue queue in program order every cycle instead of using
-    /// event-driven wakeup. Architecturally identical, much slower —
-    /// exists so equivalence tests can compare both paths. Must be
-    /// called before any instruction dispatches. Not part of
-    /// [`SimConfig`]: the scheduler implementation is not an
-    /// architectural parameter.
+    /// Switches to the reference polling scheduler: select re-checks
+    /// every waiting entry's dependences against the ROB each cycle, as
+    /// the original scan did, and the clock never jumps idle cycles.
+    /// Architecturally identical, slower — exists so equivalence tests
+    /// can compare both paths (debug builds assert every cycle that the
+    /// polled set is the event-driven ready mask). Must be called before
+    /// any instruction dispatches. Not part of [`SimConfig`]: the
+    /// scheduler implementation is not an architectural parameter.
     pub fn set_reference_scheduler(&mut self) {
         assert!(
             self.rob.is_empty(),
             "scheduler mode must be chosen before simulation starts"
         );
-        self.polling_iq = Some(Vec::with_capacity(self.cfg.iq_entries));
+        self.reference = true;
     }
 
     /// The probe, mutably (e.g. to drain a recorder mid-run).
@@ -303,7 +276,7 @@ impl<P: Probe> Simulator<P> {
         // draw, and the event scheduler (the polling reference steps
         // every cycle, so it stays an independent check of the jump).
         let skip_idle =
-            !self.probe.enabled() && self.cfg.invalidation_rate <= 0.0 && self.polling_iq.is_none();
+            !self.probe.enabled() && self.cfg.invalidation_rate <= 0.0 && !self.reference;
         while self.committed < target {
             // Done only when the trace is exhausted AND no fetched
             // instruction is left in flight or awaiting refetch (the
@@ -429,20 +402,20 @@ impl<P: Probe> Simulator<P> {
         };
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the head seq was taken from the ROB just above, so front() is occupied")
         let e = self.rob.front().expect("head exists");
-        if e.state == State::Issued {
+        if let Some(i) = e.issued {
             if drain_blocked
-                || (e.complete_at <= self.cycle && self.lsq.has_undrained_store_before(seq))
+                || (i.complete_at <= self.cycle && self.lsq.has_undrained_store_before(seq))
             {
                 // The head load finished but may not retire past an
                 // undrained older store.
                 return Component::StoreDrain;
             }
-            if e.complete_at > self.cycle {
+            if i.complete_at > self.cycle {
                 return match e.instr.kind {
-                    InstrKind::Load => match e.mem_level {
+                    InstrKind::Load => match i.mem_level {
                         2 => Component::CacheMem,
                         1 => Component::CacheL2,
-                        0 if e.seg_extra > 0 => Component::SegmentOverhead,
+                        0 if i.seg_extra > 0 => Component::SegmentOverhead,
                         _ => Component::ExecLatency,
                     },
                     k if k.is_branch()
@@ -499,8 +472,8 @@ impl<P: Probe> Simulator<P> {
     /// only between steps, with the event scheduler and no invalidation
     /// injection; each stage's early-outs are mirrored here:
     ///
-    /// * issue acts once `ready` is non-empty or the calendar's first
-    ///   wakeup comes due;
+    /// * issue acts once the scheduler has a ready entry or its
+    ///   calendar's first wakeup comes due;
     /// * drain acts while a retired store waits; commit acts once the
     ///   ROB head has issued and its result is due (a head still waiting
     ///   changes only through issue);
@@ -513,21 +486,17 @@ impl<P: Probe> Simulator<P> {
     fn next_active_cycle(&self) -> u64 {
         let now = self.cycle + 1;
         // Something to issue, or any retired store waiting to drain.
-        if !self.ready.is_empty() || self.lsq.has_undrained_store_before(u64::MAX) {
+        let ready = self.sched.ready_mask().iter().any(|&w| w != 0);
+        if ready || self.lsq.has_undrained_store_before(u64::MAX) {
             return now;
         }
-        let mut next = u64::MAX;
-        if let Some(&Reverse((at, _))) = self.calendar.peek() {
-            next = next.min(at);
-        }
-        if let Some(e) = self.rob.front() {
-            if e.state == State::Issued {
-                next = next.min(e.complete_at);
-            }
+        let mut next = self.sched.next_wakeup().unwrap_or(u64::MAX);
+        if let Some(i) = self.rob.front().and_then(|e| e.issued) {
+            next = next.min(i.complete_at);
         }
         if let Some(f) = self.frontend.front() {
             let room = !self.rob.is_full()
-                && self.iq_len < self.cfg.iq_entries
+                && self.sched.len() < self.cfg.iq_entries
                 && match f.instr.kind {
                     InstrKind::Load => self.lsq.can_dispatch_load(),
                     InstrKind::Store => self.lsq.can_dispatch_store(),
@@ -625,7 +594,7 @@ impl<P: Probe> Simulator<P> {
             };
             // lsq-lint: allow(no-unwrap-in-lib, reason = "the commit loop runs only while the ROB has a head")
             let e = *self.rob.front().expect("head exists");
-            if e.state != State::Issued || e.complete_at > self.cycle {
+            if e.issued.is_none_or(|i| i.complete_at > self.cycle) {
                 break;
             }
             match e.instr.kind {
@@ -659,8 +628,18 @@ impl<P: Probe> Simulator<P> {
         let (s, e) = self.rob.pop().expect("retiring head");
         debug_assert_eq!(s, seq);
         self.probe.commit(seq);
-        if e.wakeup_extra > 0 {
-            self.relax_late_wakeups(seq);
+        if e.issued.is_some_and(|i| i.wakeup_extra > 0) {
+            // Retirement makes the result visible at once, which can
+            // precede the late wakeup its consumers folded in.
+            let rob = &self.rob;
+            self.sched.relax(seq, self.cycle, |c| {
+                let deps = rob
+                    .get(c)
+                    .map_or([None; 2], |e| e.deps)
+                    .into_iter()
+                    .flatten();
+                deps.filter_map(|d| rob.get(d)?.wake()).fold(0, u64::max)
+            });
         }
         debug_assert_eq!(self.replay_base, seq);
         self.replay.pop_front();
@@ -686,52 +665,22 @@ impl<P: Probe> Simulator<P> {
     // Issue / execute
     // ------------------------------------------------------------------
 
-    /// Cycle at which dependence `dep` allows issue, or `None` if the
-    /// producer has not yet issued.
-    // lsq-lint: hot
-    fn dep_ready_at(&self, dep: u64) -> Option<u64> {
-        match self.rob.get(dep) {
-            None => Some(0), // committed
-            Some(p) => match p.state {
-                State::Waiting => None,
-                State::Issued => Some(p.complete_at + u64::from(p.wakeup_extra)),
-            },
-        }
-    }
-
-    // lsq-lint: hot
-    fn ready(&self, e: &DynInst) -> bool {
-        e.deps
-            .iter()
-            .flatten()
-            .all(|&d| self.dep_ready_at(d).is_some_and(|t| t <= self.cycle))
-    }
-
-    /// Attempts to issue `seq` this cycle. Returns `true` if it issued
-    /// (the caller removes it from its scheduling structure), `false`
-    /// on a resource stall. Resource checks run in the same order as
-    /// the historical polling scan (unit, then dcache port, then LSQ)
-    /// so stall counters match between scheduler modes.
+    /// Attempts to issue `seq` (instruction `instr`) on a free unit:
+    /// returns how it executes, or `None` on a resource stall. The checks
+    /// run in the polling scan's order (unit in the caller, then dcache
+    /// port, then LSQ), so each stall counter is charged once per attempt.
     // lsq-lint: hot
     fn try_issue_one(
         &mut self,
         seq: u64,
-        e: &DynInst,
-        int_left: &mut usize,
-        fp_left: &mut usize,
+        instr: Instruction,
         squash_request: &mut Option<(u64, SquashCause)>,
-    ) -> bool {
-        let kind = e.instr.kind;
-        let unit_left = if kind.is_fp() { fp_left } else { int_left };
-        if *unit_left == 0 {
-            self.record_head_stall(seq, Component::ExecLatency);
-            return false;
-        }
-        match kind {
+    ) -> Option<Issued> {
+        match instr.kind {
             InstrKind::Load => {
                 if self.dcache_used >= self.cfg.dcache_ports {
                     self.record_head_stall(seq, Component::DcachePort);
-                    return false;
+                    return None;
                 }
                 match self.timed(Phase::LsqSearch, |s| s.lsq.load_issue(seq)) {
                     LoadIssue::Issued(li) => {
@@ -745,8 +694,8 @@ impl<P: Probe> Simulator<P> {
                             self.probe.lsq_search(&LsqSearch {
                                 op: LsqOp::Load,
                                 seq,
-                                pc: e.instr.pc,
-                                addr: e.instr.addr,
+                                pc: instr.pc,
+                                addr: instr.addr,
                                 sq_path: li.searched_sq.then(|| self.lsq.sq_search_path()),
                                 lq_path: li.searched_lq.then(|| self.lsq.lq_search_path()),
                                 lb: li.searched_lb,
@@ -759,34 +708,24 @@ impl<P: Probe> Simulator<P> {
                             // Forwarded data arrives with hit latency.
                             (self.cfg.hierarchy.l1d_hit_latency(), None)
                         } else {
-                            let a = self.access(e.instr.addr, false, false);
+                            let a = self.access(instr.addr, false, false);
                             (a.latency, a.miss)
                         };
-                        let mem_level = match miss {
-                            None => 0,
-                            Some(MissLevel::L2) => 1,
-                            Some(MissLevel::Memory) => 2,
-                        };
-                        let probed = self.probe.enabled();
-                        let complete_at = self.cycle + u64::from(lat) + u64::from(li.extra_cycles);
-                        // lsq-lint: allow(no-unwrap-in-lib, reason = "completion events reference only in-flight seqs resident in the ROB")
-                        let entry = self.rob.get_mut(seq).expect("resident");
-                        entry.state = State::Issued;
-                        entry.complete_at = complete_at;
-                        entry.wakeup_extra = if li.early_wakeup {
-                            0
-                        } else {
-                            self.cfg.late_wakeup_penalty
-                        };
-                        if probed {
-                            entry.mem_level = mem_level;
-                            entry.seg_extra = li.extra_cycles;
-                        }
                         self.dcache_used += 1;
-                        *unit_left -= 1;
-                        self.probe
-                            .issue(seq, complete_at, li.extra_cycles, mem_level);
-                        true
+                        Some(Issued {
+                            complete_at: self.cycle + u64::from(lat) + u64::from(li.extra_cycles),
+                            wakeup_extra: if li.early_wakeup {
+                                0
+                            } else {
+                                self.cfg.late_wakeup_penalty
+                            },
+                            seg_extra: li.extra_cycles,
+                            mem_level: match miss {
+                                None => 0,
+                                Some(MissLevel::L2) => 1,
+                                Some(MissLevel::Memory) => 2,
+                            },
+                        })
                     }
                     stall => {
                         if self.probe.enabled() {
@@ -796,37 +735,28 @@ impl<P: Probe> Simulator<P> {
                             };
                             self.record_head_stall(seq, c);
                         }
-                        false
+                        None
                     }
                 }
             }
             InstrKind::Store => match self.timed(Phase::LsqSearch, |s| s.lsq.store_issue(seq)) {
                 StoreIssue::Issued { violation } => {
-                    self.probe_store_search(LsqOp::Store, seq, e.instr.pc, e.instr.addr);
-                    // lsq-lint: allow(no-unwrap-in-lib, reason = "completion events reference only in-flight seqs resident in the ROB")
-                    let entry = self.rob.get_mut(seq).expect("resident");
-                    entry.state = State::Issued;
-                    entry.complete_at = self.cycle + 1;
-                    *unit_left -= 1;
-                    self.probe.issue(seq, self.cycle + 1, 0, 0);
+                    self.probe_store_search(LsqOp::Store, seq, instr.pc, instr.addr);
                     if let Some(victim) = violation {
                         *squash_request = Some((victim, SquashCause::MemOrder));
                     }
-                    true
+                    Some(Issued {
+                        complete_at: self.cycle + 1,
+                        ..Issued::default()
+                    })
                 }
                 StoreIssue::NoLqPort => {
                     self.record_head_stall(seq, Component::SearchPort);
-                    false
+                    None
                 }
             },
-            _ => {
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "replay events reference only in-flight seqs resident in the ROB")
-                let entry = self.rob.get_mut(seq).expect("resident");
-                entry.state = State::Issued;
-                entry.complete_at = self.cycle + u64::from(kind.exec_latency());
-                let complete_at = entry.complete_at;
-                *unit_left -= 1;
-                self.probe.issue(seq, complete_at, 0, 0);
+            kind => {
+                let complete_at = self.cycle + u64::from(kind.exec_latency());
                 if kind.is_branch() && self.pending_redirect == Some(seq) {
                     // The mispredicted branch resolves: redirect fetch
                     // after the Table 1 penalty.
@@ -837,211 +767,75 @@ impl<P: Probe> Simulator<P> {
                         self.acct_fetch_stall = FetchStall::Mispredict;
                     }
                 }
-                true
+                Some(Issued {
+                    complete_at,
+                    ..Issued::default()
+                })
             }
         }
     }
 
+    /// One select pass over a snapshot of the candidates, oldest first,
+    /// until `issue_width` have issued or one requests a squash. No issue
+    /// makes another entry ready in the same cycle (every latency is at
+    /// least one cycle), so the snapshot is what a program-order scan sees.
     // lsq-lint: hot
     fn issue(&mut self) {
+        self.sched.wake(self.cycle);
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.copy_from_slice(self.sched.ready_mask());
+        if self.reference {
+            // Poll every waiting entry's producers in the ROB instead (a
+            // committed one's result is architectural); the event
+            // bookkeeping must have reached the same set.
+            let ready_at = |d| self.rob.get(d).map_or(Some(0), DynInst::wake);
+            candidates.fill(0);
+            for slot in age_order(self.sched.waiting_mask(), 0) {
+                let e = self.rob.get(self.sched.seq_of(slot));
+                let mut deps = e.map_or([None; 2], |e| e.deps).into_iter().flatten();
+                if deps.all(|d| ready_at(d).is_some_and(|t| t <= self.cycle)) {
+                    candidates[slot / 64] |= 1 << (slot % 64);
+                }
+            }
+            let event = self.sched.ready_mask();
+            debug_assert_eq!(candidates, event, "cycle {}: polled set", self.cycle);
+        }
         let mut issued = 0usize;
-        let mut int_left = self.cfg.int_units;
-        let mut fp_left = self.cfg.fp_units;
+        // Free integer and floating-point units.
+        let mut units = [self.cfg.int_units, self.cfg.fp_units];
         let mut squash_request: Option<(u64, SquashCause)> = None;
-        if let Some(mut iq) = self.polling_iq.take() {
-            // Reference mode: re-scan the whole issue queue in program
-            // order, re-walking dependencies against the ROB.
-            let mut i = 0usize;
-            while i < iq.len() && issued < self.cfg.issue_width {
-                let seq = iq[i];
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "the IQ holds only seqs resident in the ROB")
-                let e = *self.rob.get(seq).expect("IQ entry in ROB");
-                debug_assert_eq!(e.state, State::Waiting);
-                if !self.ready(&e) {
-                    i += 1;
-                    continue;
-                }
-                if self.try_issue_one(seq, &e, &mut int_left, &mut fp_left, &mut squash_request) {
-                    issued += 1;
-                    iq.remove(i);
-                    self.iq_len -= 1;
-                    if squash_request.is_some() {
-                        break;
-                    }
-                } else {
-                    i += 1;
-                }
+        let head = self.sched.slot(self.rob.head_seq().unwrap_or(0));
+        for slot in age_order(&candidates, head) {
+            if issued == self.cfg.issue_width {
+                break;
             }
-            self.polling_iq = Some(iq);
-        } else {
-            // Event mode. All execution latencies are >= 1 cycle, so no
-            // instruction becomes ready mid-cycle as a consequence of
-            // this cycle's issues: the ready set is fixed once the
-            // calendar is drained, exactly as the polling scan sees it.
-            while let Some(&Reverse((at, seq))) = self.calendar.peek() {
-                if at > self.cycle {
-                    break;
-                }
-                self.calendar.pop();
-                // An entry superseded by a late-wakeup relaxation no
-                // longer matches the instruction's `ready_at`; drop it
-                // (the earlier replacement entry carries the wakeup).
-                match self.rob.get(seq) {
-                    Some(e) if e.state == State::Waiting && e.ready_at == at => {
-                        self.ready.push(Reverse(seq));
-                    }
-                    _ => {}
-                }
+            let seq = self.sched.seq_of(slot);
+            // lsq-lint: allow(no-unwrap-in-lib, reason = "the IQ holds only seqs resident in the ROB")
+            let instr = self.rob.get(seq).expect("IQ entry in ROB").instr;
+            let unit = usize::from(instr.kind.is_fp());
+            // A refused entry keeps its bits: it is tried again next cycle.
+            if units[unit] == 0 {
+                self.record_head_stall(seq, Component::ExecLatency);
+                continue;
             }
-            debug_assert!(self.deferred.is_empty());
-            while issued < self.cfg.issue_width {
-                let Some(Reverse(seq)) = self.ready.pop() else {
-                    break;
-                };
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "the ready list holds only seqs resident in the ROB")
-                let e = *self.rob.get(seq).expect("ready entry in ROB");
-                debug_assert_eq!(e.state, State::Waiting);
-                debug_assert!(self.ready(&e));
-                if self.try_issue_one(seq, &e, &mut int_left, &mut fp_left, &mut squash_request) {
-                    issued += 1;
-                    self.iq_len -= 1;
-                    self.wake_dependents(seq);
-                    if squash_request.is_some() {
-                        break;
-                    }
-                } else {
-                    // Resource stall: retry next cycle, like the polling
-                    // scan skipping and re-visiting the entry.
-                    self.deferred.push(seq);
-                }
-            }
-            for seq in self.deferred.drain(..) {
-                self.ready.push(Reverse(seq));
+            let Some(i) = self.try_issue_one(seq, instr, &mut squash_request) else {
+                continue;
+            };
+            units[unit] -= 1;
+            issued += 1;
+            // lsq-lint: allow(no-unwrap-in-lib, reason = "the IQ holds only seqs resident in the ROB")
+            self.rob.get_mut(seq).expect("IQ entry in ROB").issued = Some(i);
+            self.probe
+                .issue(seq, i.complete_at, i.seg_extra, i.mem_level);
+            let wake = i.complete_at + u64::from(i.wakeup_extra);
+            self.sched.issue(seq, wake, self.cycle);
+            if squash_request.is_some() {
+                break;
             }
         }
+        self.candidates = candidates;
         if let Some((victim, cause)) = squash_request {
             self.squash(victim, self.cfg.mispredict_penalty, cause);
-        }
-    }
-
-    /// Subscribes a just-dispatched instruction to the event scheduler:
-    /// counts unissued producers as pending and registers with their
-    /// waiter lists; if everything has already issued, schedules the
-    /// wakeup directly.
-    // lsq-lint: hot
-    fn enqueue_dispatched(&mut self, seq: u64, deps: [Option<u64>; 2]) {
-        let mut pending: u8 = 0;
-        let mut ready_at: u64 = 0;
-        for d in deps.iter().flatten() {
-            match self.rob.get(*d) {
-                None => {} // committed: satisfied at cycle 0
-                Some(p) => match p.state {
-                    State::Waiting => {
-                        pending += 1;
-                        self.waiters.entry(*d).or_default().push(seq);
-                    }
-                    State::Issued => {
-                        ready_at = ready_at.max(p.complete_at + u64::from(p.wakeup_extra));
-                        if p.wakeup_extra > 0 {
-                            self.late_waiters.entry(*d).or_default().push(seq);
-                        }
-                    }
-                },
-            }
-        }
-        // lsq-lint: allow(no-unwrap-in-lib, reason = "this entry was pushed into the ROB by the dispatch just above")
-        let e = self.rob.get_mut(seq).expect("just dispatched");
-        e.pending_deps = pending;
-        e.ready_at = ready_at;
-        if pending == 0 {
-            self.schedule_wakeup(seq, ready_at);
-        }
-    }
-
-    // lsq-lint: hot
-    fn schedule_wakeup(&mut self, seq: u64, at: u64) {
-        if at <= self.cycle {
-            self.ready.push(Reverse(seq));
-        } else {
-            self.calendar.push(Reverse((at, seq)));
-        }
-    }
-
-    /// Notifies consumers that `producer` issued. Consumers whose last
-    /// pending producer this was get a calendar entry at the cycle all
-    /// their operands are available (late wakeup included).
-    // lsq-lint: hot
-    fn wake_dependents(&mut self, producer: u64) {
-        let Some(consumers) = self.waiters.remove(&producer) else {
-            return;
-        };
-        // lsq-lint: allow(no-unwrap-in-lib, reason = "dependence edges reference only in-flight producers")
-        let p = self.rob.get(producer).expect("producer resident");
-        let avail = p.complete_at + u64::from(p.wakeup_extra);
-        let late = p.wakeup_extra > 0;
-        for &c in &consumers {
-            // lsq-lint: allow(no-unwrap-in-lib, reason = "the consumer list holds only in-flight seqs")
-            let e = self.rob.get_mut(c).expect("consumer resident");
-            e.pending_deps -= 1;
-            e.ready_at = e.ready_at.max(avail);
-            if e.pending_deps > 0 {
-                continue;
-            }
-            let at = e.ready_at;
-            self.schedule_wakeup(c, at);
-        }
-        if late {
-            self.late_waiters.insert(producer, consumers);
-        }
-    }
-
-    /// Called when a producer with a late-wakeup penalty retires before
-    /// `complete_at + wakeup_extra`: retirement makes its result
-    /// architecturally visible right away (the polling scheduler sees
-    /// this through `dep_ready_at` returning zero for committed
-    /// producers), so consumers whose wakeup folded in the penalty are
-    /// recomputed and, when that moves their wakeup earlier, the
-    /// calendar entry is superseded — the old one is recognized as
-    /// stale at drain time because it no longer matches `ready_at`.
-    // lsq-lint: hot
-    fn relax_late_wakeups(&mut self, producer: u64) {
-        let Some(consumers) = self.late_waiters.remove(&producer) else {
-            return;
-        };
-        for c in consumers {
-            let Some(e) = self.rob.get(c) else { continue };
-            if e.state != State::Waiting {
-                continue;
-            }
-            let deps = e.deps;
-            let pending = e.pending_deps;
-            let old = e.ready_at;
-            let mut ready_at = 0u64;
-            for d in deps.iter().flatten() {
-                if let Some(p) = self.rob.get(*d) {
-                    if p.state == State::Issued {
-                        ready_at = ready_at.max(p.complete_at + u64::from(p.wakeup_extra));
-                    }
-                }
-            }
-            if ready_at >= old {
-                continue;
-            }
-            if pending > 0 {
-                // Not schedulable yet; just correct the running max so
-                // the final wakeup no longer charges the stale penalty.
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "the wakeup calendar holds only in-flight consumers")
-                self.rob.get_mut(c).expect("consumer resident").ready_at = ready_at;
-                continue;
-            }
-            if old <= self.cycle {
-                // Already drained into (or about to drain into) the
-                // ready set this cycle; an earlier time changes nothing.
-                continue;
-            }
-            // lsq-lint: allow(no-unwrap-in-lib, reason = "the wakeup calendar holds only in-flight consumers")
-            self.rob.get_mut(c).expect("consumer resident").ready_at = ready_at;
-            self.schedule_wakeup(c, ready_at);
         }
     }
 
@@ -1058,32 +852,22 @@ impl<P: Probe> Simulator<P> {
             if f.avail_at > self.cycle {
                 break;
             }
-            if self.rob.is_full() {
+            let full = if self.rob.is_full() {
+                Some(Component::RobFull)
+            } else if self.sched.len() >= self.cfg.iq_entries {
+                Some(Component::IqFull)
+            } else {
+                match f.instr.kind {
+                    InstrKind::Load if !self.lsq.can_dispatch_load() => Some(Component::LqFull),
+                    InstrKind::Store if !self.lsq.can_dispatch_store() => Some(Component::SqFull),
+                    _ => None,
+                }
+            };
+            if let Some(c) = full {
                 if self.probe.enabled() {
-                    self.acct_dispatch_stall = Some(Component::RobFull);
+                    self.acct_dispatch_stall = Some(c);
                 }
                 break;
-            }
-            if self.iq_len >= self.cfg.iq_entries {
-                if self.probe.enabled() {
-                    self.acct_dispatch_stall = Some(Component::IqFull);
-                }
-                break;
-            }
-            match f.instr.kind {
-                InstrKind::Load if !self.lsq.can_dispatch_load() => {
-                    if self.probe.enabled() {
-                        self.acct_dispatch_stall = Some(Component::LqFull);
-                    }
-                    break;
-                }
-                InstrKind::Store if !self.lsq.can_dispatch_store() => {
-                    if self.probe.enabled() {
-                        self.acct_dispatch_stall = Some(Component::SqFull);
-                    }
-                    break;
-                }
-                _ => {}
             }
             self.frontend.pop_front();
             let mut deps = [None, None];
@@ -1097,13 +881,7 @@ impl<P: Probe> Simulator<P> {
                 .push(DynInst {
                     instr: f.instr,
                     deps,
-                    state: State::Waiting,
-                    complete_at: 0,
-                    wakeup_extra: 0,
-                    pending_deps: 0,
-                    ready_at: 0,
-                    mem_level: 0,
-                    seg_extra: 0,
+                    issued: None,
                 })
                 // lsq-lint: allow(no-unwrap-in-lib, reason = "guarded by the fullness check above")
                 .expect("checked not full");
@@ -1117,12 +895,11 @@ impl<P: Probe> Simulator<P> {
             if let Some(dst) = f.instr.dst {
                 self.rename[dst.flat_index()] = Some(seq);
             }
-            self.iq_len += 1;
-            if let Some(iq) = &mut self.polling_iq {
-                iq.push(seq);
-            } else {
-                self.enqueue_dispatched(seq, deps);
-            }
+            let srcs = deps.map(|d| {
+                let d = d?;
+                Some((d, self.rob.get(d)?.wake()))
+            });
+            self.sched.dispatch(seq, srcs, self.cycle);
         }
     }
 
@@ -1210,42 +987,15 @@ impl<P: Probe> Simulator<P> {
             // Before the ROB truncation and the fetch rewind below: the
             // victim's PC is still readable and `next_fetch` is still the
             // pre-squash frontier bounding the in-flight seqs.
-            let pc = self.rob_pc(victim);
+            let pc = self.rob.get(victim).map_or(Pc(0), |e| e.instr.pc);
             self.probe
                 .squash(victim, pc, cause, penalty, self.next_fetch);
         }
+        let tail = self.rob.next_seq();
+        let head = tail - self.rob.len() as u64;
         let removed = self.rob.truncate_from(victim);
         self.instructions_squashed += removed as u64;
-        if let Some(iq) = &mut self.polling_iq {
-            iq.retain(|&s| s < victim);
-            self.iq_len = iq.len();
-        } else {
-            // Sequence numbers are reused after a squash, so squashed
-            // entries must be scrubbed eagerly from every scheduling
-            // structure; lazy deletion would confuse old entries with
-            // re-fetched instructions carrying the same seq.
-            self.ready.retain(|&Reverse(s)| s < victim);
-            self.calendar.retain(|&Reverse((_, s))| s < victim);
-            self.waiters.retain(|&p, consumers| {
-                if p >= victim {
-                    return false;
-                }
-                consumers.retain(|&c| c < victim);
-                !consumers.is_empty()
-            });
-            self.late_waiters.retain(|&p, consumers| {
-                if p >= victim {
-                    return false;
-                }
-                consumers.retain(|&c| c < victim);
-                !consumers.is_empty()
-            });
-            self.iq_len = self
-                .rob
-                .iter()
-                .filter(|(_, e)| e.state == State::Waiting)
-                .count();
-        }
+        self.sched.squash(head, victim.max(head), tail);
         self.lsq.squash_from(victim);
         self.frontend.retain(|f| f.gseq < victim);
         // Rebuild the rename map from the surviving ROB contents.
@@ -1345,11 +1095,6 @@ impl<P: Probe> Simulator<P> {
             useless: false,
             violation: search.violation,
         });
-    }
-
-    /// The PC of in-flight `seq` (zero if it is not in the ROB).
-    fn rob_pc(&self, seq: u64) -> Pc {
-        self.rob.get(seq).map_or(Pc(0), |e| e.instr.pc)
     }
 }
 

@@ -10,8 +10,9 @@
 /// A fixed-capacity FIFO with monotonically increasing sequence numbers.
 ///
 /// The first element ever pushed gets sequence number 0, the next 1, and so
-/// on; sequence numbers are never reused even after pops (they model an
-/// instruction's dynamic age). Squashing truncates the youngest entries.
+/// on; pops never hand one out again (they model an instruction's dynamic
+/// age), but squashing with [`Self::truncate_from`] does, to the refetched
+/// instructions, so anything keyed by seq must drop squashed entries.
 ///
 /// # Examples
 ///

@@ -1,17 +1,24 @@
 //! The event-driven scheduler must be architecturally invisible: every
 //! counter in [`SimResult`] must be bit-identical to the reference
-//! polling scheduler (which re-scans the whole issue queue against the
-//! ROB every cycle, the way the simulator originally worked).
+//! polling scheduler.
+//!
+//! Both run the one select loop in `Simulator::issue`; they differ only
+//! in where its candidates come from. Event mode takes the ready mask
+//! that wakeup maintains (waiter lists counting consumers down, a
+//! completion calendar setting ready bits). The reference re-checks
+//! every waiting entry's dependences against the ROB each cycle, the way
+//! the simulator originally worked, and in debug builds (so in these
+//! tests) asserts every cycle that it found exactly the ready mask.
 //!
 //! The argument for why they agree: all execution latencies are at
 //! least one cycle, so no instruction becomes ready as a consequence of
-//! a same-cycle issue — the set of ready instructions is fixed when the
-//! cycle starts. The polling scan visits that set in program order; the
-//! event scheduler pops a min-heap keyed by sequence number, which
-//! yields the same order. Resource-stalled candidates are deferred and
-//! re-queued, matching the scan's skip-and-revisit. These tests pin
-//! that equivalence across the design points that stress every issue
-//! path: forwarding, squashes, the load buffer, and segmented search.
+//! a same-cycle issue — the candidate set is fixed when the cycle
+//! starts. Select walks it oldest first, from the ROB head's slot round,
+//! and an entry refused for a resource keeps its ready bit, so it is
+//! tried again next cycle just as the old scan skipped and revisited it.
+//! These tests pin that equivalence across the design points that
+//! stress every issue path: forwarding, squashes (memory-order,
+//! load-load and invalidation), the load buffer, and segmented search.
 
 use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
 use lsq::experiments::runner::diff_results;
@@ -24,9 +31,14 @@ const INSTRS: u64 = 10_000;
 /// Runs `bench` × `lsq_cfg` with warm-up differencing, with either the
 /// event scheduler (default) or the reference polling scheduler.
 fn run(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
+    run_config(bench, SimConfig::with_lsq(lsq_cfg), polling)
+}
+
+/// Like [`run`], for a whole processor configuration.
+fn run_config(bench: &str, cfg: SimConfig, polling: bool) -> SimResult {
     let profile = BenchProfile::named(bench).expect("known benchmark");
     let mut stream = profile.stream(1);
-    let mut sim = Simulator::new(SimConfig::with_lsq(lsq_cfg));
+    let mut sim = Simulator::new(cfg);
     if polling {
         sim.set_reference_scheduler();
     }
@@ -93,20 +105,36 @@ fn design_points() -> Vec<(&'static str, LsqConfig)> {
 }
 
 fn assert_equivalent(bench: &str) {
-    for (label, cfg) in design_points() {
-        let event = run(bench, cfg, false);
-        let polling = run(bench, cfg, true);
-        // SimResult has no float-free Eq; the Debug rendering covers
-        // every field (occupancy means included) exactly. wall_nanos
-        // and sim_mips are both zero here — only the engine stamps
-        // them — so the comparison is purely architectural.
-        assert_eq!(
-            format!("{event:?}"),
-            format!("{polling:?}"),
-            "{bench}/{label}: event scheduler diverged from polling reference"
-        );
-        assert!(event.committed >= INSTRS, "{bench}/{label}: run too short");
-    }
+    let points = design_points().into_iter();
+    assert_agree(
+        bench,
+        points.map(|(label, cfg)| (label, SimConfig::with_lsq(cfg))),
+    );
+}
+
+/// Runs `bench` at every point under both schedulers, asserts that they
+/// agree, and returns the event scheduler's results.
+fn assert_agree(
+    bench: &str,
+    points: impl Iterator<Item = (&'static str, SimConfig)>,
+) -> Vec<SimResult> {
+    points
+        .map(|(label, cfg)| {
+            let event = run_config(bench, cfg.clone(), false);
+            let polling = run_config(bench, cfg, true);
+            // SimResult has no float-free Eq; the Debug rendering covers
+            // every field (occupancy means included) exactly. wall_nanos
+            // and sim_mips are both zero here — only the engine stamps
+            // them — so the comparison is purely architectural.
+            assert_eq!(
+                format!("{event:?}"),
+                format!("{polling:?}"),
+                "{bench}/{label}: event scheduler diverged from polling reference"
+            );
+            assert!(event.committed >= INSTRS, "{bench}/{label}: run too short");
+            event
+        })
+        .collect()
 }
 
 /// Cycle accounting is pure observability: attaching the accountant
@@ -196,6 +224,57 @@ fn accounted_schedulers_agree() {
             "gzip/{label}: accounted schedulers diverged"
         );
     }
+}
+
+/// The Figure 12 design point (every technique, one search port) on
+/// both processors, and the two squash sources besides memory order.
+fn more_design_points() -> Vec<(&'static str, SimConfig)> {
+    let all = LsqConfig::all_techniques_one_port();
+    let load_load = LsqConfig {
+        load_load_squash: true,
+        ..LsqConfig::default()
+    };
+    let mut invalidating = SimConfig::with_lsq(LsqConfig::default());
+    invalidating.invalidation_rate = 0.01;
+    vec![
+        ("all_techniques_one_port", SimConfig::with_lsq(all)),
+        ("all_techniques_one_port/scaled", SimConfig::scaled(all)),
+        ("load_load_squash", SimConfig::with_lsq(load_load)),
+        ("invalidation", invalidating),
+    ]
+}
+
+fn assert_more_equivalent(bench: &str) {
+    let results = assert_agree(bench, more_design_points().into_iter());
+    assert!(
+        results.iter().any(|r| r.lsq.invalidation_squashes > 0),
+        "{bench}: no invalidation squash"
+    );
+}
+
+#[test]
+fn gzip_more_design_points_agree() {
+    assert_more_equivalent("gzip");
+}
+
+#[test]
+fn mcf_more_design_points_agree() {
+    assert_more_equivalent("mcf");
+}
+
+/// `gzip` and `mcf` make no same-word loads out of order in their
+/// windows; `bzip` does, so the load-load squash itself is compared.
+#[test]
+fn load_load_squashes_agree() {
+    let cfg = SimConfig::with_lsq(LsqConfig {
+        load_load_squash: true,
+        ..LsqConfig::default()
+    });
+    let results = assert_agree("bzip", [("load_load_squash", cfg)].into_iter());
+    assert!(
+        results[0].lsq.load_load_violations > 0,
+        "bzip: no load-load squash"
+    );
 }
 
 #[test]
