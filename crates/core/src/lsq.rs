@@ -1026,11 +1026,6 @@ impl Lsq {
     pub fn store_is_issued(&self, seq: u64) -> bool {
         self.sq_index(seq).is_some_and(|i| self.sq[i].issued)
     }
-
-    /// The forwarding source bound to an issued load, if any.
-    pub fn load_forwarded_from(&self, seq: u64) -> Option<u64> {
-        self.lq_index(seq).and_then(|i| self.lq[i].forwarded_from)
-    }
 }
 
 #[cfg(test)]

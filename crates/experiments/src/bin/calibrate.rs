@@ -35,10 +35,7 @@ fn ipc_for(profile: &BenchProfile, pseed: u64) -> (f64, f64) {
     let mut stream = TraceGenerator::new(profile.name, prog, 1);
     let mut sim = Simulator::new(SimConfig::with_lsq(LsqConfig::default()));
     sim.prewarm(&stream.data_regions(), stream.code_region());
-    let _ = sim.run(&mut stream, 60_000);
-    let before = sim.run(&mut stream, 0);
-    let after = sim.run(&mut stream, 150_000);
-    let measured = lsq_experiments::runner::diff_results(&before, &after);
+    let measured = sim.measure(&mut stream, 60_000, 150_000);
     (measured.ipc(), measured.ooo_issued_loads)
 }
 

@@ -11,8 +11,11 @@
 //! written to the configured files.
 
 use lsq_core::LsqConfig;
-use lsq_experiments::runner::{run_traced, RunSpec};
-use lsq_obs::TraceConfig;
+use lsq_experiments::runner::{run_observed, RunSpec};
+use lsq_experiments::Job;
+use lsq_obs::{Sampler, TraceBuffer, TraceConfig, TIMELINE};
+use lsq_pipeline::{ProbeSet, ProbeSpec};
+use lsq_trace::BenchProfile;
 
 fn main() {
     let mut bench = String::from("gcc");
@@ -40,8 +43,15 @@ fn main() {
         }
     }
 
+    let Some(profile) = BenchProfile::named(&bench) else {
+        eprintln!("unknown benchmark {bench}");
+        std::process::exit(2);
+    };
     // Trace even without LSQ_TRACE so the attribution report is always
-    // available; files are only written when LSQ_TRACE names a path.
+    // available; diag writes the trace files itself, and only when
+    // LSQ_TRACE names a path. The other recorders the knobs ask for
+    // apply and write their files as in any engine job, except the phase
+    // timer, which diag does not report.
     let trace = TraceConfig::from_env();
     let ring = trace.clone().unwrap_or_else(|| {
         TraceConfig::parse(
@@ -49,7 +59,27 @@ fn main() {
             lsq_util::knobs::get("LSQ_SAMPLE_CYCLES").as_deref(),
         )
     });
-    let (r, buf, sampler) = run_traced(&bench, LsqConfig::default(), false, spec, &ring);
+    let observers = ProbeSpec {
+        trace: None,
+        profile: false,
+        ..ProbeSpec::from_env()
+    };
+    let probe = ProbeSet {
+        trace: Some(TraceBuffer::with_capacity(ring.capacity)),
+        sampler: ring
+            .effective_sample_cycles()
+            .map(|window| Sampler::new(window, &TIMELINE)),
+        ..observers.build(0)
+    };
+    let job = Job {
+        bench: profile.name,
+        lsq: LsqConfig::default(),
+        scaled: false,
+        spec,
+    };
+    let (r, mut probe) = run_observed(&job, probe);
+    let sampler = probe.take_sampler();
+    let buf = probe.trace.unwrap_or_default();
 
     println!("{}", r.render(&format!("diag: {bench} (base)")));
     println!();

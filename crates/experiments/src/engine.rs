@@ -7,10 +7,15 @@
 //! in Figures 6 through 12. The engine flattens each request into [`Job`]s,
 //! runs the jobs that have not been seen before on a work-stealing thread
 //! pool sized by [`worker_count`], and serves repeats from a cache keyed
-//! by everything that determines a run's outcome (benchmark name, the
-//! full [`SimConfig`], and the [`RunSpec`]). Simulations are
-//! deterministic, so a cached result is exactly the result a fresh run
-//! would produce (modulo the host-timing fields).
+//! by everything that shapes a run's result (benchmark name, the full
+//! [`SimConfig`], the [`RunSpec`], and which of the recorders that add
+//! reports to a [`SimResult`] ran). Simulations are deterministic, so a
+//! cached result is exactly the result a fresh run would produce (modulo
+//! the host-timing fields).
+//!
+//! A batch's observers are one [`ProbeSpec`]: [`Engine::run_batch`]
+//! reads it from the knobs below once per batch, on the calling thread,
+//! and [`Engine::run_observed`] takes it as an argument.
 //!
 //! Observability knobs (all environment variables):
 //!
@@ -46,12 +51,12 @@ use crate::runner::RunSpec;
 use crate::telemetry;
 use lsq_core::LsqConfig;
 use lsq_obs::Json;
-use lsq_pipeline::{CpiStack, PhaseProfile, SimConfig, SimResult, StageLatency};
+use lsq_pipeline::{CpiStack, PhaseProfile, ProbeSpec, SimConfig, SimResult, StageLatency};
 use lsq_util::sync::MutexExt;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IsTerminal, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -68,28 +73,43 @@ pub struct Job {
     pub spec: RunSpec,
 }
 
-/// Result-cache key: everything that determines a run's outcome. The
-/// full [`SimConfig`] (not just the LSQ point and the scaled flag it was
+/// Result-cache key: everything that shapes a run's result. The full
+/// [`SimConfig`] (not just the LSQ point and the scaled flag it was
 /// derived from) is hashed, so two jobs collide only if the simulator
-/// would be configured identically.
+/// would be configured identically. `reports` records whether the phase
+/// timer, the cycle accountant and the lifecycle recorder ran, since
+/// they fill [`SimResult::profile`], [`SimResult::cpi_stack`] and
+/// [`SimResult::stage_latency`]: a cached result never answers a batch
+/// that asked for a report it lacks.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct JobKey {
     bench: &'static str,
     sim: SimConfig,
     spec: RunSpec,
+    reports: [bool; 3],
 }
 
 impl Job {
-    fn key(&self) -> JobKey {
-        let sim = if self.scaled {
+    /// The processor this job simulates: the base (Table 1) or the §4.3
+    /// scaled one, around its LSQ design point.
+    pub fn config(&self) -> SimConfig {
+        if self.scaled {
             SimConfig::scaled(self.lsq)
         } else {
             SimConfig::with_lsq(self.lsq)
-        };
+        }
+    }
+
+    fn key(&self, observers: &ProbeSpec) -> JobKey {
         JobKey {
             bench: self.bench,
-            sim,
+            sim: self.config(),
             spec: self.spec,
+            reports: [
+                observers.profile,
+                observers.accounting,
+                observers.pipeview.is_some(),
+            ],
         }
     }
 }
@@ -164,8 +184,6 @@ impl JobRecord {
 pub struct Engine {
     cache: Mutex<HashMap<JobKey, SimResult>>,
     records: Mutex<Vec<JobRecord>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 /// The process-wide engine used by the `runner` entry points.
@@ -180,14 +198,12 @@ impl Engine {
         Self::default()
     }
 
-    /// `(cache hits, unique simulations)` served so far.
+    /// `(cache hits, unique simulations)` served so far: the job
+    /// records served from the cache and the fresh ones.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            // lsq-lint: allow(relaxed-ordering-audit, reason = "stats snapshot read after run_batch returns; joins ordered the writes")
-            self.hits.load(Ordering::Relaxed),
-            // lsq-lint: allow(relaxed-ordering-audit, reason = "stats snapshot read after run_batch returns; joins ordered the writes")
-            self.misses.load(Ordering::Relaxed),
-        )
+        let records = self.records.lock_unpoisoned();
+        let hits = records.iter().filter(|r| r.cached).count() as u64;
+        (hits, records.len() as u64 - hits)
     }
 
     /// Runs a batch of jobs and returns one result per job, in order.
@@ -203,8 +219,20 @@ impl Engine {
     /// [`Engine::run_batch`] with an explicit worker count, bypassing
     /// `LSQ_JOBS` / `available_parallelism` (determinism tests).
     pub fn run_batch_with_workers(&self, jobs: &[Job], workers: Option<usize>) -> Vec<SimResult> {
+        self.run_observed(jobs, workers, &ProbeSpec::from_env())
+    }
+
+    /// [`Engine::run_batch_with_workers`] with every fresh job observed
+    /// by the recorders `observers` asks for, instead of the ones the
+    /// `LSQ_*` knobs ask for.
+    pub fn run_observed(
+        &self,
+        jobs: &[Job],
+        workers: Option<usize>,
+        observers: &ProbeSpec,
+    ) -> Vec<SimResult> {
         telemetry::global().maybe_serve_from_env();
-        let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
+        let keys: Vec<JobKey> = jobs.iter().map(|j| j.key(observers)).collect();
 
         // Unique uncached keys, in first-appearance order (deterministic).
         let mut pending: Vec<(JobKey, Job)> = Vec::new();
@@ -218,20 +246,16 @@ impl Engine {
         }
 
         let workers = workers.unwrap_or_else(|| worker_count(pending.len()));
-        let fresh = self.run_pending(&pending, workers);
+        let fresh = self.run_pending(&pending, workers, observers);
 
         // Batch-level self-profile aggregate (LSQ_PROFILE=1): merged
         // over fresh jobs and printed once; cache hits re-serve the
         // profile stored with their original run.
-        let mut batch_profile: Option<PhaseProfile> = None;
-        for r in &fresh {
-            if let Some(p) = &r.profile {
-                match batch_profile.as_mut() {
-                    Some(agg) => agg.merge(p),
-                    None => batch_profile = Some(p.clone()),
-                }
-            }
-        }
+        let profiles = fresh.iter().filter_map(|r| r.profile.clone());
+        let batch_profile = profiles.reduce(|mut agg, p| {
+            agg.merge(&p);
+            agg
+        });
         if let Some(p) = &batch_profile {
             eprintln!(
                 "profile: aggregate over {} fresh jobs\n{}",
@@ -242,17 +266,13 @@ impl Engine {
 
         // Batch-level CPI-stack aggregate (LSQ_ACCOUNTING=1): merged
         // over fresh jobs and printed once.
-        let mut batch_stack: Option<CpiStack> = None;
-        let mut batch_committed = 0u64;
-        for r in &fresh {
-            if let Some(s) = &r.cpi_stack {
-                batch_committed += r.committed;
-                match batch_stack.as_mut() {
-                    Some(agg) => agg.merge(s),
-                    None => batch_stack = Some(s.clone()),
-                }
-            }
-        }
+        let stacked = fresh.iter().filter(|r| r.cpi_stack.is_some());
+        let batch_committed: u64 = stacked.clone().map(|r| r.committed).sum();
+        let stacks = stacked.filter_map(|r| r.cpi_stack.clone());
+        let batch_stack = stacks.reduce(|mut agg, s| {
+            agg.merge(&s);
+            agg
+        });
         if let Some(s) = &batch_stack {
             eprintln!(
                 "cpi stack: aggregate over {} fresh jobs\n{}",
@@ -272,21 +292,12 @@ impl Engine {
         let results: Vec<SimResult> = keys.iter().map(|k| cache[k].clone()).collect();
         drop(cache);
 
-        // A job is "fresh" only at the first appearance of its key in this
-        // batch, and only if that key was actually simulated here; repeats
-        // and keys cached by earlier batches are hits.
-        let ran: HashSet<&JobKey> = pending.iter().map(|(k, _)| k).collect();
-        let mut first_seen: HashSet<&JobKey> = HashSet::new();
-        let cached_flags: Vec<bool> = keys
-            .iter()
-            .map(|k| !(ran.contains(k) && first_seen.insert(k)))
-            .collect();
+        // A job is "fresh" only at the first appearance of a key simulated
+        // in this batch; repeats and keys cached by earlier batches are
+        // hits.
+        let mut unserved: HashSet<&JobKey> = pending.iter().map(|(k, _)| k).collect();
+        let cached_flags: Vec<bool> = keys.iter().map(|k| !unserved.remove(k)).collect();
         let batch_hits = cached_flags.iter().filter(|&&c| c).count() as u64;
-        // lsq-lint: allow(relaxed-ordering-audit, reason = "monotonic tally; read only via stats() snapshots")
-        self.hits.fetch_add(batch_hits, Ordering::Relaxed);
-        self.misses
-            // lsq-lint: allow(relaxed-ordering-audit, reason = "monotonic tally; read only via stats() snapshots")
-            .fetch_add(pending.len() as u64, Ordering::Relaxed);
         telemetry::global().cache_counted(batch_hits, pending.len() as u64);
 
         {
@@ -317,13 +328,20 @@ impl Engine {
         results
     }
 
-    /// Runs the uncached jobs on `workers` work-stealing threads (see
-    /// [`work_steal`]), reporting each claim and finish to telemetry.
-    fn run_pending(&self, pending: &[(JobKey, Job)], workers: usize) -> Vec<SimResult> {
+    /// Runs the uncached jobs under `observers` on `workers`
+    /// work-stealing threads (see [`work_steal`]), reporting each claim
+    /// and finish to telemetry.
+    fn run_pending(
+        &self,
+        pending: &[(JobKey, Job)],
+        workers: usize,
+        observers: &ProbeSpec,
+    ) -> Vec<SimResult> {
         let total = pending.len();
         if total == 0 {
             return Vec::new();
         }
+        let first_sink = crate::runner::number_sinks(observers, total);
         let workers = workers.clamp(1, total);
         let done = AtomicUsize::new(0);
         let started = Instant::now();
@@ -334,8 +352,7 @@ impl Engine {
             let job = pending[idx].1;
             tel.job_claimed(w, job_label(&job), stolen);
             let t0 = Instant::now();
-            let mut r =
-                crate::runner::run_design_point_uncached(job.bench, job.lsq, job.scaled, job.spec);
+            let mut r = crate::runner::run_job(&job, observers, first_sink + idx as u64);
             let wall = t0.elapsed();
             r.wall_nanos = wall.as_nanos() as u64;
             let simulated = (job.spec.warmup + r.committed) as f64;
@@ -624,6 +641,28 @@ mod tests {
         let (hits, misses) = engine.stats();
         assert_eq!((hits, misses), (0, 2));
         assert_ne!(results[0].cycles, results[1].cycles);
+    }
+
+    #[test]
+    fn a_cached_result_never_answers_a_batch_asking_for_a_report_it_lacks() {
+        let engine = Engine::new();
+        let accounted = ProbeSpec {
+            accounting: true,
+            ..ProbeSpec::default()
+        };
+        let plain = engine.run_observed(&[job("gzip")], Some(1), &ProbeSpec::default());
+        let first = engine.run_observed(&[job("gzip")], Some(1), &accounted);
+        let again = engine.run_observed(&[job("gzip")], Some(1), &accounted);
+        assert!(plain[0].cpi_stack.is_none());
+        assert!(first[0].cpi_stack.is_some(), "the accountant ran afresh");
+        assert_same_counters(&first[0], &again[0]);
+        assert_eq!(engine.stats(), (1, 2), "only the repeat was cached");
+        // The accountant does not change what it observes.
+        let unstacked = SimResult {
+            cpi_stack: None,
+            ..first[0].clone()
+        };
+        assert_same_counters(&plain[0], &unstacked);
     }
 
     #[test]

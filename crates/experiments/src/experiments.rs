@@ -6,10 +6,11 @@
 //! side. The experiment binaries print artifacts; the integration tests
 //! re-run them with tiny instruction budgets and assert the shapes.
 
-use crate::runner::{int_fp_means, run_matrix, RunSpec};
+use crate::engine::{self, Job};
+use crate::runner::{int_fp_means, run_matrix, run_matrix_on, simulate, RunSpec};
 use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc};
 use lsq_pipeline::{
-    CriticalPath, PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator, CP_COMPONENTS,
+    CriticalPath, PipeviewRecorder, ProbeSet, ProbeSpec, SimConfig, SimResult, CP_COMPONENTS,
 };
 use lsq_stats::Table;
 use lsq_trace::BenchProfile;
@@ -706,19 +707,22 @@ pub fn supplementary_ssit_pressure(spec: RunSpec) -> Artifact {
 // CPI stacks — cycle accounting across the paper's techniques
 // ----------------------------------------------------------------------
 
-/// Runs `f` with `LSQ_ACCOUNTING=1`, restoring the variable's prior
-/// state afterwards, so every *fresh* job started inside `f` carries a
-/// CPI stack. (The engine's result cache has no accounting dimension;
-/// an artifact run starts with a cold cache, so all its jobs are fresh.)
-fn with_accounting<R>(f: impl FnOnce() -> R) -> R {
-    let prior = lsq_util::knobs::get_os("LSQ_ACCOUNTING");
-    std::env::set_var("LSQ_ACCOUNTING", "1");
-    let out = f();
-    match prior {
-        Some(v) => std::env::set_var("LSQ_ACCOUNTING", v),
-        None => std::env::remove_var("LSQ_ACCOUNTING"),
-    }
-    out
+/// The design points of the CPI-stack and critical-path tables, with
+/// their labels: the 2-ported conventional baseline and the paper's
+/// three techniques.
+fn technique_designs() -> [(&'static str, LsqConfig); 4] {
+    [
+        ("conv2", LsqConfig::default()),
+        (
+            "pair",
+            LsqConfig {
+                predictor: PredictorKind::Pair,
+                ..LsqConfig::default()
+            },
+        ),
+        ("lb1", LsqConfig::with_techniques(1)),
+        ("seg", LsqConfig::segmented(SegAlloc::SelfCircular)),
+    ]
 }
 
 /// The CPI-stack table's column groups: a label and the accounting
@@ -742,26 +746,34 @@ const CPI_GROUPS: &[(&str, &[&str])] = &[
 /// one component, so each row's group columns sum to its `cpi` — the
 /// stack is a partition of simulated time, not a sample.
 pub fn cpi_stack(spec: RunSpec) -> Artifact {
-    let cfgs = [
-        LsqConfig::default(),
-        LsqConfig {
-            predictor: PredictorKind::Pair,
-            ..LsqConfig::default()
-        },
-        LsqConfig::with_techniques(1),
-        LsqConfig::segmented(SegAlloc::SelfCircular),
-    ];
-    let designs = ["conv2", "pair", "lb1", "seg"];
-    let rows = with_accounting(|| run_matrix(&cfgs, false, spec));
+    // The knobs' other observers still apply; the accountant is asked
+    // for on top of them.
+    let observers = ProbeSpec {
+        accounting: true,
+        ..ProbeSpec::from_env()
+    };
+    let cfgs = technique_designs().map(|(_, lsq)| lsq);
+    cpi_stack_from(&run_matrix_on(
+        engine::global(),
+        &cfgs,
+        false,
+        spec,
+        &observers,
+    ))
+}
+
+/// The CPI-stack table of `rows`, the [`technique_designs`] matrix run
+/// with the accountant attached.
+fn cpi_stack_from(rows: &[(&'static str, Vec<SimResult>)]) -> Artifact {
     let mut header = vec!["bench", "design", "cpi"];
     header.extend(CPI_GROUPS.iter().map(|(label, _)| *label));
     let mut t = Table::new(header);
-    for (name, r) in &rows {
-        for (design, res) in designs.iter().zip(r) {
+    for (name, r) in rows {
+        for ((design, _), res) in technique_designs().iter().zip(r) {
             let stack = res
                 .cpi_stack
                 .as_ref()
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "the matrix above ran with accounting enabled, so every record carries a CPI stack")
+                // lsq-lint: allow(no-unwrap-in-lib, reason = "the matrix ran with the accountant attached, and the cache keys on it, so every result carries a CPI stack")
                 .expect("accounting was enabled for this matrix");
             let denom = (stack.commit_width * res.committed.max(1)) as f64;
             let mut row = vec![
@@ -807,30 +819,27 @@ pub fn cpi_stack(spec: RunSpec) -> Artifact {
 // Critical path — longest dependency chain per design point
 // ----------------------------------------------------------------------
 
-/// Runs one `(benchmark, design point)` pair with a lifecycle recorder
-/// attached and analyzes the critical path over the measured window
-/// (warm-up records are drained and discarded first). Returns `None`
-/// when no committed instruction was recorded.
-fn critical_path_for(bench: &str, lsq: LsqConfig, spec: RunSpec) -> Option<CriticalPath> {
-    // lsq-lint: allow(no-unwrap-in-lib, reason = "benchmarks come from BenchProfile's own table")
-    let profile = BenchProfile::named(bench).expect("known benchmark");
-    let mut stream = profile.stream(spec.seed);
+/// Runs one job with a lifecycle recorder attached and analyzes the
+/// critical path over the measured window. Returns `None` when no
+/// committed instruction was recorded.
+fn critical_path_for(job: &Job) -> Option<CriticalPath> {
     // Hold the whole measured window so the chain walk never hits an
     // evicted producer mid-window.
-    let cap = usize::try_from(spec.instrs).unwrap_or(usize::MAX).max(4096);
+    let cap = usize::try_from(job.spec.instrs)
+        .unwrap_or(usize::MAX)
+        .max(4096);
     let probe = ProbeSet {
         life: Some(PipeviewRecorder::new(cap)),
         ..ProbeSet::default()
     };
-    let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq), probe);
-    sim.prewarm(&stream.data_regions(), stream.code_region());
-    if spec.warmup > 0 {
-        let _ = sim.run(&mut stream, spec.warmup);
-    }
-    // Discard the warm-up records.
-    sim.probe_mut().life.as_mut()?.take_records();
-    let _ = sim.run(&mut stream, spec.instrs);
-    let records = sim.into_probe().life?.take_records();
+    let (measured, probe) = simulate(job, probe);
+    // The probe saw every cycle, so its last cycle ends the run and the
+    // warm-up ended `measured.cycles` before it. A record finishes in
+    // the cycle its instruction commits or squashes, so the warm-up's
+    // records end at or before that boundary.
+    let boundary = probe.cycle - measured.cycles;
+    let mut records = probe.life?.take_records();
+    records.retain(|r| r.end_cycle().is_some_and(|end| end > boundary));
     CriticalPath::analyze(&records)
 }
 
@@ -841,31 +850,26 @@ fn critical_path_for(bench: &str, lsq: LsqConfig, spec: RunSpec) -> Option<Criti
 /// columns of a row sum to 100% of `cycles` — the per-instruction
 /// analogue of the CPI stack's partition invariant.
 pub fn critical_path(spec: RunSpec) -> Artifact {
-    let cfgs = [
-        LsqConfig::default(),
-        LsqConfig {
-            predictor: PredictorKind::Pair,
-            ..LsqConfig::default()
-        },
-        LsqConfig::with_techniques(1),
-        LsqConfig::segmented(SegAlloc::SelfCircular),
-    ];
-    let designs = ["conv2", "pair", "lb1", "seg"];
-    let benches: Vec<&'static str> = BenchProfile::all().iter().map(|p| p.name).collect();
-    // In-process recorded runs (the engine's cache has no lifecycle
-    // dimension), fanned out on the work-stealing pool.
-    let tasks: Vec<_> = benches
+    // In-process recorded runs (the lifecycle records do not travel in a
+    // cached result), fanned out on the work-stealing pool.
+    let tasks: Vec<_> = BenchProfile::all()
         .iter()
-        .flat_map(|&bench| {
-            cfgs.iter().zip(designs).map(move |(&lsq, design)| {
-                move || (bench, design, critical_path_for(bench, lsq, spec))
+        .flat_map(|p| {
+            technique_designs().map(|(design, lsq)| {
+                let job = Job {
+                    bench: p.name,
+                    lsq,
+                    scaled: false,
+                    spec,
+                };
+                move || (job.bench, design, critical_path_for(&job))
             })
         })
         .collect();
     let mut header = vec!["bench", "design", "cycles", "instrs"];
     header.extend(CP_COMPONENTS);
     let mut t = Table::new(header);
-    for (bench, design, cp) in crate::engine::run_tasks(tasks) {
+    for (bench, design, cp) in engine::run_tasks(tasks) {
         let Some(cp) = cp else { continue };
         assert_eq!(
             cp.total(),
@@ -955,14 +959,13 @@ pub fn by_name(name: &str, spec: RunSpec) -> Option<Artifact> {
     })
 }
 
-/// Runs every paper artifact in paper order. `cpi_stack` is excluded:
-/// it flips `LSQ_ACCOUNTING` for its matrix, and the engine's result
-/// cache (shared across artifacts in one process, keyed without an
-/// accounting dimension) would leak stacks into — or hide them from —
-/// the other artifacts' runs. `critical_path` is excluded for the same
-/// shape of reason: its runs bypass the cache entirely (lifecycle
-/// records don't travel through cached [`SimResult`]s), so batching it
-/// here would only pad `all()`'s runtime. Request both by name.
+/// Runs every paper artifact in paper order. The two supplementary
+/// observer tables are excluded; request them by name. `cpi_stack` runs
+/// its matrix again with the cycle accountant attached, and the cache
+/// keys on the accountant, so none of the other artifacts' results
+/// would serve it. `critical_path`'s runs bypass the cache entirely
+/// (lifecycle records don't travel through cached [`SimResult`]s).
+/// Either would only pad `all()`'s runtime.
 pub fn all(spec: RunSpec) -> Vec<Artifact> {
     let predictor_rows = predictor_matrix(spec);
     vec![
@@ -1003,6 +1006,37 @@ mod tests {
         assert_eq!(a.id, "Table 3");
         let a = by_name("fig8", TINY).expect("fig8 exists");
         assert_eq!(a.id, "Figure 8");
+    }
+
+    /// `table2` runs the baseline unobserved; `cpi_stack` after it must
+    /// still find a stack in every result (the cache keys on the
+    /// accountant) and render the table it renders alone.
+    #[test]
+    fn cpi_stack_after_table2_matches_cpi_stack_alone() {
+        // A spec no other test runs, so the global cache holds only what
+        // this test put there.
+        let spec = RunSpec {
+            warmup: 200,
+            instrs: 800,
+            seed: 43,
+        };
+        let _ = by_name("table2", spec).expect("table2 exists");
+        let after = by_name("cpi_stack", spec).expect("cpi_stack exists");
+        let cfgs = technique_designs().map(|(_, lsq)| lsq);
+        let accounted = ProbeSpec {
+            accounting: true,
+            ..ProbeSpec::from_env()
+        };
+        let served = run_matrix_on(engine::global(), &cfgs, false, spec, &accounted);
+        assert!(
+            served
+                .iter()
+                .all(|(_, r)| r.iter().all(|r| r.cpi_stack.is_some())),
+            "every row carries a stack"
+        );
+        let alone = run_matrix_on(&engine::Engine::new(), &cfgs, false, spec, &accounted);
+        assert_eq!(after.table.len(), 18 * cfgs.len());
+        assert_eq!(after.to_string(), cpi_stack_from(&alone).to_string());
     }
 
     #[test]

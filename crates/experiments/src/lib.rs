@@ -20,10 +20,14 @@
 //! most of Figures 6–12 — are simulated exactly once per process. See
 //! the [`engine`] docs for `LSQ_PROGRESS` and `LSQ_EXPERIMENTS_JSON`.
 //!
-//! Any run can be traced through the [`lsq_obs`] event ring and windowed
-//! sampler: set `LSQ_TRACE=<path>[:events|:chrome|:timeline]` (and
-//! optionally `LSQ_SAMPLE_CYCLES=<n>`), or call
-//! [`runner::run_traced`] directly.
+//! Every run warms up, then measures, in one place
+//! ([`lsq_pipeline::Simulator::measure`]). Any run can be observed
+//! through the [`lsq_obs`] event ring and windowed sampler, the cycle
+//! accountant, the phase timer and the pipeline viewer: set the `LSQ_*`
+//! knobs (e.g. `LSQ_TRACE=<path>[:events|:chrome|:timeline]`) to
+//! observe every fresh engine job, pass a [`lsq_pipeline::ProbeSpec`]
+//! to [`Engine::run_observed`], or hand your own
+//! [`lsq_pipeline::ProbeSet`] to [`runner::run_observed`].
 //!
 //! # Examples
 //!
@@ -44,4 +48,4 @@ pub mod telemetry;
 
 pub use engine::{worker_count, Engine, Job};
 pub use experiments::{all, by_name, Artifact, ARTIFACT_NAMES};
-pub use runner::{run_design_point, run_traced, RunSpec};
+pub use runner::{run_design_point, run_observed, RunSpec};

@@ -4,12 +4,13 @@
 //! are simulated once per process and repeats are served from its result
 //! cache, and batches run on a work-stealing pool sized by
 //! `LSQ_JOBS` / `available_parallelism` (see the engine docs for the
-//! observability knobs).
+//! observability knobs). Every design-point run, cached or not, observed
+//! or not, is one [`Simulator::measure`] call made by [`simulate`].
 
-use crate::engine::{self, Job};
+use crate::engine::{self, Engine, Job};
 use lsq_core::LsqConfig;
-use lsq_obs::{write_file, PipeRecord, Sampler, TraceBuffer, TraceConfig, TIMELINE};
-use lsq_pipeline::{NopProbe, Probe, ProbeSet, SimConfig, SimResult, Simulator};
+use lsq_obs::{write_file, PipeRecord, TraceBuffer};
+use lsq_pipeline::{NopProbe, Probe, ProbeSet, ProbeSpec, SimResult, Simulator};
 use lsq_trace::BenchProfile;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct RunSpec {
     /// Instructions committed before measurement starts (caches,
     /// predictors, and queues warm up; statistics from this phase are
-    /// discarded by differencing).
+    /// discarded by [`lsq_pipeline::Simulator::measure`]).
     pub warmup: u64,
     /// Instructions measured.
     pub instrs: u64,
@@ -66,48 +67,58 @@ pub fn run_design_point(bench: &str, lsq: LsqConfig, scaled: bool, spec: RunSpec
         .expect("one job, one result")
 }
 
-/// The one simulation path: warm up, snapshot, measure, difference.
-/// Generic over the probe, so it has exactly two instantiations: the
-/// unobserved [`NopProbe`] and the knob-driven [`ProbeSet`]. The
-/// probe's phase profile covers the whole run, warm-up included (like
-/// `wall_nanos`, it is host-side timing and not windowed by the diff);
-/// its CPI stack and stage latencies are simulated quantities, so they
-/// *are* windowed by the diff.
-fn simulate<P: Probe>(
-    bench: &str,
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
-    probe: P,
-) -> (SimResult, P) {
+/// The one simulation path: `job`'s processor reporting to `probe`,
+/// caches pre-warmed, measured by [`Simulator::measure`]. Generic over
+/// the probe: the engine runs the unobserved [`NopProbe`] or a
+/// [`ProbeSet`], and recorders that need the whole run (the critical
+/// path's lifecycle records) get their probe back.
+///
+/// # Panics
+///
+/// Panics if `job.bench` is not one of the 18 profile names.
+pub(crate) fn simulate<P: Probe>(job: &Job, probe: P) -> (SimResult, P) {
+    let bench = job.bench;
     // lsq-lint: allow(no-unwrap-in-lib, reason = "documented # Panics contract: bench must be one of the 18 profile names")
     let profile = BenchProfile::named(bench).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    let cfg = if scaled {
-        SimConfig::scaled(lsq)
-    } else {
-        SimConfig::with_lsq(lsq)
-    };
-    let mut stream = profile.stream(spec.seed);
-    let mut sim = Simulator::with_probe(cfg, probe);
+    let mut stream = profile.stream(job.spec.seed);
+    let mut sim = Simulator::with_probe(job.config(), probe);
     sim.prewarm(&stream.data_regions(), stream.code_region());
-    if spec.warmup > 0 {
-        let _ = sim.run(&mut stream, spec.warmup);
-    }
-    let before = sim.run(&mut stream, 0);
-    let after = sim.run(&mut stream, spec.instrs);
-    (diff_results(&before, &after), sim.into_probe())
+    let result = sim.measure(&mut stream, job.spec.warmup, job.spec.instrs);
+    (result, sim.into_probe())
 }
 
-/// Numbers a probe set's output files by engine job: parallel jobs
-/// write to distinct paths, job 0 to the configured paths verbatim and
-/// later ones with a `.N` suffix. One number per job, taken before the
-/// run, so every file of a job carries the same suffix.
-fn number_sinks(probe: ProbeSet) -> ProbeSet {
-    static SINK_JOBS: AtomicU64 = AtomicU64::new(0);
-    if probe.sinks.is_empty() {
-        return probe;
+/// [`simulate`] with `probe`'s recorders written to its sinks after the
+/// run; the probe comes back with what the sinks did not take (a
+/// recorder with no sink is left in place).
+///
+/// # Panics
+///
+/// Panics if `job.bench` is not one of the 18 profile names.
+pub fn run_observed(job: &Job, probe: ProbeSet) -> (SimResult, ProbeSet) {
+    let (result, mut probe) = simulate(job, probe);
+    flush_sinks(job.bench, &mut probe);
+    (result, probe)
+}
+
+/// One fresh engine job: unobserved when `observers` asks for nothing,
+/// else observed by the recorders it builds for sink number `n`.
+pub(crate) fn run_job(job: &Job, observers: &ProbeSpec, n: u64) -> SimResult {
+    if observers.is_off() {
+        return simulate(job, NopProbe).0;
     }
-    probe.for_job(SINK_JOBS.fetch_add(1, Ordering::Relaxed))
+    run_observed(job, observers.build(n)).0
+}
+
+/// Reserves sink numbers for `jobs` fresh jobs of one batch and returns
+/// the first. Numbers are unique within the process, so no two jobs
+/// write the same file; the first job ever is numbered 0, which writes
+/// the configured paths verbatim. Batches that write no file take none.
+pub(crate) fn number_sinks(observers: &ProbeSpec, jobs: usize) -> u64 {
+    static SINK_JOBS: AtomicU64 = AtomicU64::new(0);
+    if observers.sinks(0).is_empty() {
+        return 0;
+    }
+    SINK_JOBS.fetch_add(jobs as u64, Ordering::Relaxed)
 }
 
 /// Writes a finished run's recorders to their sinks: the windowed
@@ -168,26 +179,6 @@ fn warn_on_pipeview_drops(bench: &str, records: &[PipeRecord], dropped: u64, cap
     }
 }
 
-/// The uncached simulation underneath [`run_design_point`]: warm up,
-/// snapshot, measure, difference. Called by the engine for cache misses.
-/// Attaches whatever [`ProbeSet::from_env`] asks for (`LSQ_TRACE`,
-/// `LSQ_PROFILE`, `LSQ_ACCOUNTING`, `LSQ_PIPEVIEW`, in any combination)
-/// and writes its sinks after the run; with every knob off the run is
-/// unobserved.
-pub(crate) fn run_design_point_uncached(
-    bench: &str,
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
-) -> SimResult {
-    let Some(probe) = ProbeSet::from_env() else {
-        return simulate(bench, lsq, scaled, spec, NopProbe).0;
-    };
-    let (result, mut probe) = simulate(bench, lsq, scaled, spec, number_sinks(probe));
-    flush_sinks(bench, &mut probe);
-    result
-}
-
 /// Surfaces trace-ring overflow at sink flush: a truncated JSONL/Chrome
 /// artifact is silently misleading, so drops cost a stderr warning and
 /// a bump of the `lsq_trace_events_dropped_total` metric.
@@ -203,137 +194,6 @@ fn warn_on_trace_drops(bench: &str, buf: &TraceBuffer) {
             buf.capacity(),
         );
     }
-}
-
-/// [`run_design_point_uncached`] with tracing: the probe set carries a
-/// [`TraceBuffer`] ring sized by `trace` (and, when it asks for one, a
-/// windowed [`Sampler`]) and the captured buffer and flushed sampler are
-/// returned alongside the measured-phase result instead of being written
-/// to `trace`'s files. `LSQ_ACCOUNTING` and `LSQ_PIPEVIEW` still apply;
-/// `LSQ_PROFILE` does not.
-///
-/// The sampler is attached before the warm-up phase so its per-window
-/// deltas partition the *whole* run — summing `committed` over every
-/// window and dividing by the summed `cycles` reproduces the cumulative
-/// (undiffed) IPC exactly.
-///
-/// # Panics
-///
-/// Panics if `bench` is not one of the 18 profile names.
-pub fn run_traced(
-    bench: &str,
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
-    trace: &TraceConfig,
-) -> (SimResult, TraceBuffer, Option<Sampler>) {
-    let mut probe = ProbeSet::from_env().unwrap_or_default();
-    probe.trace = Some(TraceBuffer::with_capacity(trace.capacity));
-    probe.sampler = trace
-        .effective_sample_cycles()
-        .map(|window| Sampler::new(window, &TIMELINE));
-    probe.timer = None;
-    probe.sinks.trace = None;
-    let (result, mut probe) = simulate(bench, lsq, scaled, spec, number_sinks(probe));
-    flush_sinks(bench, &mut probe);
-    let sampler = probe.take_sampler();
-    (result, probe.trace.unwrap_or_default(), sampler)
-}
-
-/// Subtracts the warm-up prefix from cumulative counters so the result
-/// reflects only the measured window.
-pub fn diff_results(before: &SimResult, after: &SimResult) -> SimResult {
-    let mut r = after.clone();
-    r.cycles = after.cycles - before.cycles;
-    r.committed = after.committed - before.committed;
-    r.loads_committed = after.loads_committed - before.loads_committed;
-    r.stores_committed = after.stores_committed - before.stores_committed;
-    r.branches_committed = after.branches_committed - before.branches_committed;
-    r.branch_predictions = after.branch_predictions - before.branch_predictions;
-    r.branch_mispredictions = after.branch_mispredictions - before.branch_mispredictions;
-    r.violation_squashes = after.violation_squashes - before.violation_squashes;
-    r.instructions_squashed = after.instructions_squashed - before.instructions_squashed;
-    // LSQ counters are cumulative; difference the scalar fields.
-    r.lsq.loads_dispatched -= before.lsq.loads_dispatched;
-    r.lsq.stores_dispatched -= before.lsq.stores_dispatched;
-    r.lsq.loads_issued -= before.lsq.loads_issued;
-    r.lsq.stores_issued -= before.lsq.stores_issued;
-    r.lsq.stores_committed -= before.lsq.stores_committed;
-    r.lsq.sq_searches -= before.lsq.sq_searches;
-    r.lsq.sq_search_hits -= before.lsq.sq_search_hits;
-    r.lsq.lq_searches_by_stores -= before.lsq.lq_searches_by_stores;
-    r.lsq.lq_searches_by_loads -= before.lsq.lq_searches_by_loads;
-    r.lsq.lb_searches -= before.lsq.lb_searches;
-    r.lsq.violations -= before.lsq.violations;
-    r.lsq.commit_violations -= before.lsq.commit_violations;
-    r.lsq.useless_searches -= before.lsq.useless_searches;
-    r.lsq.load_load_violations -= before.lsq.load_load_violations;
-    r.lsq.invalidations -= before.lsq.invalidations;
-    r.lsq.invalidation_squashes -= before.lsq.invalidation_squashes;
-    r.lsq.sq_port_stalls -= before.lsq.sq_port_stalls;
-    r.lsq.lq_port_stalls -= before.lsq.lq_port_stalls;
-    r.lsq.commit_port_delays -= before.lsq.commit_port_delays;
-    r.lsq.lb_full_stalls -= before.lsq.lb_full_stalls;
-    r.lsq.in_order_stalls -= before.lsq.in_order_stalls;
-    r.lsq.store_set_waits -= before.lsq.store_set_waits;
-    // The segment histogram is cumulative too: subtract the warm-up
-    // snapshot so Table 6 reflects only the measured window.
-    r.lsq.seg_search_hist.subtract(&before.lsq.seg_search_hist);
-    // Occupancy means are sampled once per cycle, so the cycle counts are
-    // their exact sample counts: re-base each mean onto the measured
-    // window by removing the warm-up window's weighted contribution.
-    r.lq_occupancy = rebase_mean(
-        before.lq_occupancy,
-        before.cycles,
-        after.lq_occupancy,
-        after.cycles,
-    );
-    r.sq_occupancy = rebase_mean(
-        before.sq_occupancy,
-        before.cycles,
-        after.sq_occupancy,
-        after.cycles,
-    );
-    r.ooo_issued_loads = rebase_mean(
-        before.ooo_issued_loads,
-        before.cycles,
-        after.ooo_issued_loads,
-        after.cycles,
-    );
-    r.inflight_loads = rebase_mean(
-        before.inflight_loads,
-        before.cycles,
-        after.inflight_loads,
-        after.cycles,
-    );
-    // The CPI stack is cumulative and monotone, so the measured-window
-    // stack is a component-wise difference — the partition invariant
-    // carries over: diffed components sum to diffed cycles × width.
-    r.cpi_stack = match (&after.cpi_stack, &before.cpi_stack) {
-        (Some(a), Some(b)) => Some(a.minus(b)),
-        (Some(a), None) => Some(a.clone()),
-        _ => None,
-    };
-    // Stage-latency histograms are cumulative over committed
-    // instructions; the same windowing applies.
-    r.stage_latency = match (&after.stage_latency, &before.stage_latency) {
-        (Some(a), Some(b)) => Some(a.minus(b)),
-        (Some(a), None) => Some(a.clone()),
-        _ => None,
-    };
-    r
-}
-
-/// Mean over only the samples recorded after a snapshot:
-/// `(after_mean·after_n − before_mean·before_n) / (after_n − before_n)`,
-/// clamped at zero against floating-point cancellation.
-fn rebase_mean(before_mean: f64, before_n: u64, after_mean: f64, after_n: u64) -> f64 {
-    let n = after_n.saturating_sub(before_n);
-    if n == 0 {
-        return 0.0;
-    }
-    let sum = after_mean * after_n as f64 - before_mean * before_n as f64;
-    (sum / n as f64).max(0.0)
 }
 
 /// Runs a design point for every benchmark, in parallel, returning
@@ -358,6 +218,25 @@ pub fn run_matrix(
     scaled: bool,
     spec: RunSpec,
 ) -> Vec<(&'static str, Vec<SimResult>)> {
+    run_matrix_on(
+        engine::global(),
+        configs,
+        scaled,
+        spec,
+        &ProbeSpec::from_env(),
+    )
+}
+
+/// [`run_matrix`] on `engine`, with every fresh job observed by the
+/// recorders `observers` asks for instead of the ones the `LSQ_*` knobs
+/// ask for.
+pub fn run_matrix_on(
+    engine: &Engine,
+    configs: &[LsqConfig],
+    scaled: bool,
+    spec: RunSpec,
+    observers: &ProbeSpec,
+) -> Vec<(&'static str, Vec<SimResult>)> {
     let names: Vec<&'static str> = BenchProfile::all().iter().map(|p| p.name).collect();
     let jobs: Vec<Job> = names
         .iter()
@@ -370,7 +249,7 @@ pub fn run_matrix(
             })
         })
         .collect();
-    let mut results = engine::global().run_batch(&jobs).into_iter();
+    let mut results = engine.run_observed(&jobs, None, observers).into_iter();
     names
         .iter()
         .map(|&name| (name, results.by_ref().take(configs.len()).collect()))
@@ -400,7 +279,7 @@ pub fn int_fp_means(rows: &[(&'static str, f64)]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsq_core::LsqStats;
+    use lsq_obs::{Sampler, TIMELINE};
 
     const SMALL: RunSpec = RunSpec {
         warmup: 2_000,
@@ -442,76 +321,31 @@ mod tests {
         );
     }
 
-    #[test]
-    fn diffing_rebases_means_and_histogram() {
-        let mut before = blank_result();
-        before.cycles = 1_000;
-        before.lq_occupancy = 30.0; // congested warm-up window
-        before.lsq.seg_search_hist.record(0);
-        before.lsq.seg_search_hist.record(3);
-        let mut after = blank_result();
-        after.cycles = 3_000;
-        // Cumulative mean: (30·1000 + 6·2000) / 3000 = 14.
-        after.lq_occupancy = 14.0;
-        after.lsq.seg_search_hist.record(0);
-        after.lsq.seg_search_hist.record(3);
-        after.lsq.seg_search_hist.record(1);
-        let r = diff_results(&before, &after);
-        assert_eq!(r.cycles, 2_000);
-        assert!(
-            (r.lq_occupancy - 6.0).abs() < 1e-9,
-            "warm-up congestion removed"
-        );
-        // Only the measured-window observation remains.
-        assert_eq!(r.lsq.seg_search_hist.count(), 1);
-        assert_eq!(r.lsq.seg_search_hist.bucket(1), 1);
-        assert_eq!(r.lsq.seg_search_hist.bucket(0), 0);
-        assert_eq!(r.lsq.seg_search_hist.bucket(3), 0);
+    /// A gzip job on the base design point at `SMALL`.
+    fn gzip() -> Job {
+        Job {
+            bench: "gzip",
+            lsq: LsqConfig::default(),
+            scaled: false,
+            spec: SMALL,
+        }
     }
 
-    #[test]
-    fn rebase_mean_edge_cases() {
-        // No new samples: define the mean as zero rather than dividing
-        // by zero.
-        assert_eq!(rebase_mean(5.0, 100, 5.0, 100), 0.0);
-        // No warm-up: the cumulative mean passes through.
-        assert_eq!(rebase_mean(0.0, 0, 7.5, 200), 7.5);
-        // A difference that would go negative (rounding noise near zero)
-        // clamps at zero instead.
-        assert_eq!(rebase_mean(2.0, 100, 1.0, 101), 0.0);
-    }
-
-    fn blank_result() -> SimResult {
-        SimResult {
-            cycles: 0,
-            committed: 0,
-            loads_committed: 0,
-            stores_committed: 0,
-            branches_committed: 0,
-            branch_predictions: 0,
-            branch_mispredictions: 0,
-            violation_squashes: 0,
-            instructions_squashed: 0,
-            lq_occupancy: 0.0,
-            sq_occupancy: 0.0,
-            ooo_issued_loads: 0.0,
-            inflight_loads: 0.0,
-            lsq: LsqStats::new(4),
-            l1d_miss_rate: 0.0,
-            l2_miss_rate: 0.0,
-            hit_cycle_cap: false,
-            wall_nanos: 0,
-            sim_mips: 0.0,
-            profile: None,
-            cpi_stack: None,
-            stage_latency: None,
+    /// An event ring of `capacity` events, and a 500-cycle timeline
+    /// sampler, with no sink.
+    fn traced(capacity: usize) -> ProbeSet {
+        ProbeSet {
+            trace: Some(TraceBuffer::with_capacity(capacity)),
+            sampler: Some(Sampler::new(500, &TIMELINE)),
+            ..ProbeSet::default()
         }
     }
 
     #[test]
     fn traced_run_matches_untraced_counters() {
-        let trace = TraceConfig::parse("unused.json", Some("500"));
-        let (r, buf, sampler) = run_traced("gzip", LsqConfig::default(), false, SMALL, &trace);
+        let (r, mut probe) = run_observed(&gzip(), traced(1 << 18));
+        let (buf, sampler) = (probe.trace.take(), probe.take_sampler());
+        let buf = buf.expect("a recorder with no sink stays in place");
         let plain = run_design_point("gzip", LsqConfig::default(), false, SMALL);
         assert_eq!(r.cycles, plain.cycles, "tracing must not perturb timing");
         assert_eq!(r.committed, plain.committed);
@@ -554,11 +388,8 @@ mod tests {
 
     #[test]
     fn trace_ring_overflow_is_counted_and_surfaced() {
-        let trace = TraceConfig {
-            capacity: 32,
-            ..TraceConfig::parse("unused.json", None)
-        };
-        let (_, buf, _) = run_traced("gzip", LsqConfig::default(), false, SMALL, &trace);
+        let (_, probe) = run_observed(&gzip(), traced(32));
+        let buf = probe.trace.expect("a recorder with no sink stays in place");
         assert_eq!(buf.capacity(), 32);
         assert!(
             buf.dropped() > 0,

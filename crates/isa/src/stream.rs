@@ -36,23 +36,12 @@ pub trait InstructionStream {
 pub struct VecStream {
     instrs: Vec<Instruction>,
     pos: usize,
-    name: String,
 }
 
 impl VecStream {
     /// Wraps a vector of instructions as a stream.
     pub fn new(instrs: Vec<Instruction>) -> Self {
-        Self {
-            instrs,
-            pos: 0,
-            name: "vec".to_string(),
-        }
-    }
-
-    /// Sets the reported workload name.
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
+        Self { instrs, pos: 0 }
     }
 
     /// Number of instructions not yet consumed.
@@ -71,7 +60,7 @@ impl InstructionStream for VecStream {
     }
 
     fn name(&self) -> &str {
-        &self.name
+        "vec"
     }
 }
 
@@ -128,8 +117,8 @@ mod tests {
 
     #[test]
     fn vec_stream_yields_in_order_then_none() {
-        let mut s = VecStream::new(three()).with_name("t");
-        assert_eq!(s.name(), "t");
+        let mut s = VecStream::new(three());
+        assert_eq!(s.name(), "vec");
         assert_eq!(s.remaining(), 3);
         assert!(s.next_instr().unwrap().kind.is_load());
         assert!(s.next_instr().unwrap().kind.is_store());

@@ -242,7 +242,7 @@ fn knob_registry_file(f: &FileCtx, ws: &Workspace, out: &mut Vec<Diagnostic>) {
                 t[i].line,
                 format!(
                     "env read of `{}` bypasses the knob registry; use \
-                     `lsq_util::knobs::{{get, get_os, flag}}` instead",
+                     `lsq_util::knobs::{{get, flag}}` instead",
                     t[i + 2].text
                 ),
             ));

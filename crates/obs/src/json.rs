@@ -44,14 +44,6 @@ impl Json {
         }
     }
 
-    /// The value as an `i64` if it is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::Int(n) => Some(n),
-            _ => None,
-        }
-    }
-
     /// The value as a `u64` if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
@@ -485,6 +477,6 @@ mod tests {
     #[test]
     fn integers_stay_integers() {
         let v = Json::parse("9007199254740993").unwrap();
-        assert_eq!(v.as_i64(), Some(9007199254740993));
+        assert_eq!(v.as_u64(), Some(9007199254740993));
     }
 }

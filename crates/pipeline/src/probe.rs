@@ -21,8 +21,10 @@
 //!   recorder ([`PipeviewRecorder`]), and two windowed [`Sampler`]s fed
 //!   at each cycle end: the timeline, over the [`TIMELINE`] counters,
 //!   and the CPI stack, over the accountant's per-component slots.
-//!   [`ProbeSet::from_env`] builds it from the `LSQ_*` knobs, and its
-//!   [`Sinks`] name the files the recorders are written to.
+//!   A [`ProbeSpec`] says which recorders to attach and where to write
+//!   them ([`ProbeSpec::from_env`] reads it from the `LSQ_*` knobs);
+//!   [`ProbeSpec::build`] makes the recorders, with their [`Sinks`], for
+//!   one job.
 
 use crate::accounting::{Component, CpiStack};
 use crate::config::SimConfig;
@@ -244,6 +246,91 @@ fn accounting_csv_from_env() -> Option<(PathBuf, u64)> {
     Some((PathBuf::from(raw), DEFAULT_ACCOUNTING_WINDOW))
 }
 
+/// Which recorders a run attaches and where they are written: the
+/// plain, clonable description of a [`ProbeSet`]. One spec serves a
+/// whole batch; [`ProbeSpec::build`] makes each job its own recorders.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ProbeSpec {
+    /// `LSQ_TRACE` (+ `LSQ_TRACE_CAP`, `LSQ_SAMPLE_CYCLES`): the event
+    /// ring and timeline sampler, and their files.
+    pub trace: Option<TraceConfig>,
+    /// `LSQ_PROFILE`: the phase timer.
+    pub profile: bool,
+    /// `LSQ_ACCOUNTING`: the CPI-stack accountant.
+    pub accounting: bool,
+    /// `LSQ_ACCOUNTING_CSV`: the windowed CPI-stack CSV and its window
+    /// width in cycles. It hangs off the accountant: without
+    /// `accounting` nothing is sampled or written.
+    pub cpi_csv: Option<(PathBuf, u64)>,
+    /// `LSQ_PIPEVIEW` (+ `LSQ_PIPEVIEW_CAP`): the lifecycle recorder and
+    /// its pipeline-viewer log.
+    pub pipeview: Option<PipeviewConfig>,
+}
+
+impl ProbeSpec {
+    /// The recorders and sinks the `LSQ_*` knobs ask for.
+    pub fn from_env() -> ProbeSpec {
+        ProbeSpec {
+            trace: TraceConfig::from_env(),
+            profile: lsq_util::knobs::flag("LSQ_PROFILE"),
+            accounting: lsq_util::knobs::flag("LSQ_ACCOUNTING"),
+            cpi_csv: accounting_csv_from_env(),
+            pipeview: PipeviewConfig::from_env(),
+        }
+    }
+
+    /// Whether no recorder is asked for, so a run is unobserved.
+    pub fn is_off(&self) -> bool {
+        self.trace.is_none() && !self.profile && !self.accounting && self.pipeview.is_none()
+    }
+
+    /// The files job `n`'s recorders are written to. Parallel jobs
+    /// write to distinct paths: job 0 to the configured paths verbatim,
+    /// later ones with a `.n` suffix (see [`numbered`]), the same for
+    /// every file of a job.
+    pub fn sinks(&self, n: u64) -> Sinks {
+        Sinks {
+            trace: self.trace.clone().map(|t| TraceConfig {
+                path: numbered(&t.path, n),
+                ..t
+            }),
+            pipeview: self.pipeview.clone().map(|p| PipeviewConfig {
+                path: numbered(&p.path, n),
+                ..p
+            }),
+            cpi_csv: self
+                .cpi_csv
+                .as_ref()
+                .filter(|_| self.accounting)
+                .map(|(path, _)| numbered(path, n)),
+        }
+    }
+
+    /// Fresh recorders for job `n`, with [`ProbeSpec::sinks`]`(n)`.
+    pub fn build(&self, n: u64) -> ProbeSet {
+        let trace = self.trace.as_ref();
+        ProbeSet {
+            trace: trace.map(|t| TraceBuffer::with_capacity(t.capacity)),
+            sampler: trace
+                .and_then(TraceConfig::effective_sample_cycles)
+                .map(|window| Sampler::new(window, &TIMELINE)),
+            timer: self.profile.then(WallProfiler::new),
+            acct: self.accounting.then(CpiStack::default),
+            cpi_sampler: self
+                .cpi_csv
+                .as_ref()
+                .filter(|_| self.accounting)
+                .map(|(_, window)| Sampler::new(*window, &Component::NAMES)),
+            life: self
+                .pipeview
+                .as_ref()
+                .map(|p| PipeviewRecorder::new(p.capacity)),
+            sinks: self.sinks(n),
+            ..ProbeSet::default()
+        }
+    }
+}
+
 /// Optional recorders behind the [`Probe`] hooks. A `None` recorder
 /// costs one branch per hook.
 #[derive(Debug, Default)]
@@ -271,66 +358,6 @@ pub struct ProbeSet {
 }
 
 impl ProbeSet {
-    /// The recorders the `LSQ_*` knobs ask for, with their sinks for job
-    /// 0, or `None` when every observer is off:
-    ///
-    /// * `LSQ_TRACE` (+ `LSQ_TRACE_CAP`, `LSQ_SAMPLE_CYCLES`): event ring
-    ///   and timeline sampler;
-    /// * `LSQ_PROFILE`: phase timer;
-    /// * `LSQ_ACCOUNTING` (+ `LSQ_ACCOUNTING_CSV`): CPI-stack accountant (and
-    ///   CPI-stack sampler);
-    /// * `LSQ_PIPEVIEW` (+ `LSQ_PIPEVIEW_CAP`): lifecycle recorder.
-    pub fn from_env() -> Option<ProbeSet> {
-        let trace = TraceConfig::from_env();
-        let pipeview = PipeviewConfig::from_env();
-        let profile = lsq_util::knobs::flag("LSQ_PROFILE");
-        let accounting = lsq_util::knobs::flag("LSQ_ACCOUNTING");
-        if trace.is_none() && pipeview.is_none() && !profile && !accounting {
-            return None;
-        }
-        // The CSV hangs off the accountant: it means nothing without it.
-        let cpi_csv = accounting.then(accounting_csv_from_env).flatten();
-        Some(ProbeSet {
-            trace: trace
-                .as_ref()
-                .map(|t| TraceBuffer::with_capacity(t.capacity)),
-            sampler: trace
-                .as_ref()
-                .and_then(TraceConfig::effective_sample_cycles)
-                .map(|window| Sampler::new(window, &TIMELINE)),
-            timer: profile.then(WallProfiler::new),
-            acct: accounting.then(CpiStack::default),
-            cpi_sampler: cpi_csv
-                .as_ref()
-                .map(|(_, window)| Sampler::new(*window, &Component::NAMES)),
-            life: pipeview.as_ref().map(|p| PipeviewRecorder::new(p.capacity)),
-            sinks: Sinks {
-                trace,
-                pipeview,
-                cpi_csv: cpi_csv.map(|(path, _)| path),
-            },
-            cycle: 0,
-            occupancy_sums: [0; 2],
-        })
-    }
-
-    /// This probe set with every sink path numbered for engine job `n`
-    /// (see [`numbered`]), so all files of one job carry the same
-    /// number.
-    pub fn for_job(mut self, n: u64) -> ProbeSet {
-        let s = &mut self.sinks;
-        if let Some(t) = &mut s.trace {
-            t.path = numbered(&t.path, n);
-        }
-        if let Some(p) = &mut s.pipeview {
-            p.path = numbered(&p.path, n);
-        }
-        if let Some(c) = &mut s.cpi_csv {
-            *c = numbered(c, n);
-        }
-        self
-    }
-
     /// Detaches the timeline sampler, flushing its partial last window.
     pub fn take_sampler(&mut self) -> Option<Sampler> {
         let mut s = self.sampler.take()?;
@@ -550,16 +577,20 @@ mod tests {
 
     #[test]
     fn every_sink_of_a_job_carries_its_number() {
-        let probe = || ProbeSet {
-            sinks: Sinks {
-                trace: Some(TraceConfig::parse("out/t.json:chrome", Some("500"))),
-                pipeview: Some(PipeviewConfig::parse("out/p.kanata")),
-                cpi_csv: Some(PathBuf::from("out/cpi.csv")),
-            },
-            ..ProbeSet::default()
+        let spec = ProbeSpec {
+            trace: Some(TraceConfig::parse("out/t.json:chrome", Some("500"))),
+            accounting: true,
+            cpi_csv: Some((PathBuf::from("out/cpi.csv"), 100)),
+            pipeview: Some(PipeviewConfig::parse("out/p.kanata")),
+            ..ProbeSpec::default()
         };
-        assert_eq!(probe().for_job(0).sinks, probe().sinks, "job 0 is verbatim");
-        let sinks = probe().for_job(7).sinks;
+        let verbatim = Sinks {
+            trace: spec.trace.clone(),
+            pipeview: spec.pipeview.clone(),
+            cpi_csv: Some(PathBuf::from("out/cpi.csv")),
+        };
+        assert_eq!(spec.sinks(0), verbatim, "job 0 is verbatim");
+        let sinks = spec.build(7).sinks;
         let trace = sinks.trace.expect("trace sink");
         let paths = [
             trace.path.clone(),
@@ -613,6 +644,29 @@ mod tests {
         let deltas: Vec<&[u64]> = timeline.rows().iter().map(|r| &r.deltas[..]).collect();
         assert_eq!(deltas, [[4, 1 + 2, 2, 6, 0], [4, 3 + 4, 2, 6, 0]]);
         assert_eq!(probe.occupancy_sums, [10, 4]);
+    }
+
+    #[test]
+    fn the_cpi_csv_hangs_off_the_accountant() {
+        let csv = ProbeSpec {
+            cpi_csv: Some((PathBuf::from("cpi.csv"), 100)),
+            ..ProbeSpec::default()
+        };
+        assert!(csv.is_off(), "a CSV alone attaches nothing");
+        let probe = csv.build(0);
+        assert!(probe.acct.is_none() && probe.cpi_sampler.is_none());
+        assert!(
+            probe.sinks.is_empty(),
+            "nothing to write without the accountant"
+        );
+        let accounted = ProbeSpec {
+            accounting: true,
+            ..csv
+        };
+        let probe = accounted.build(0);
+        assert!(probe.acct.is_some() && probe.cpi_sampler.is_some());
+        assert_eq!(probe.sinks.cpi_csv, Some(PathBuf::from("cpi.csv")));
+        assert!(ProbeSpec::default().is_off());
     }
 
     #[test]

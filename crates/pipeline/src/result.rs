@@ -100,6 +100,73 @@ impl SimResult {
         }
     }
 
+    /// The counters of the window between `before`, an earlier snapshot
+    /// of the same run, and this one. [`Simulator::run`] reports
+    /// cumulative counters, so the warm-up prefix is subtracted here
+    /// (see [`Simulator::measure`]).
+    ///
+    /// [`Simulator::run`]: crate::Simulator::run
+    /// [`Simulator::measure`]: crate::Simulator::measure
+    pub fn since(&self, before: &SimResult) -> SimResult {
+        let after = self;
+        let mut r = after.clone();
+        r.cycles = after.cycles - before.cycles;
+        r.committed = after.committed - before.committed;
+        r.loads_committed = after.loads_committed - before.loads_committed;
+        r.stores_committed = after.stores_committed - before.stores_committed;
+        r.branches_committed = after.branches_committed - before.branches_committed;
+        r.branch_predictions = after.branch_predictions - before.branch_predictions;
+        r.branch_mispredictions = after.branch_mispredictions - before.branch_mispredictions;
+        r.violation_squashes = after.violation_squashes - before.violation_squashes;
+        r.instructions_squashed = after.instructions_squashed - before.instructions_squashed;
+        // LSQ counters are cumulative; difference the scalar fields.
+        r.lsq.loads_dispatched -= before.lsq.loads_dispatched;
+        r.lsq.stores_dispatched -= before.lsq.stores_dispatched;
+        r.lsq.loads_issued -= before.lsq.loads_issued;
+        r.lsq.stores_issued -= before.lsq.stores_issued;
+        r.lsq.stores_committed -= before.lsq.stores_committed;
+        r.lsq.sq_searches -= before.lsq.sq_searches;
+        r.lsq.sq_search_hits -= before.lsq.sq_search_hits;
+        r.lsq.lq_searches_by_stores -= before.lsq.lq_searches_by_stores;
+        r.lsq.lq_searches_by_loads -= before.lsq.lq_searches_by_loads;
+        r.lsq.lb_searches -= before.lsq.lb_searches;
+        r.lsq.violations -= before.lsq.violations;
+        r.lsq.commit_violations -= before.lsq.commit_violations;
+        r.lsq.useless_searches -= before.lsq.useless_searches;
+        r.lsq.load_load_violations -= before.lsq.load_load_violations;
+        r.lsq.invalidations -= before.lsq.invalidations;
+        r.lsq.invalidation_squashes -= before.lsq.invalidation_squashes;
+        r.lsq.sq_port_stalls -= before.lsq.sq_port_stalls;
+        r.lsq.lq_port_stalls -= before.lsq.lq_port_stalls;
+        r.lsq.commit_port_delays -= before.lsq.commit_port_delays;
+        r.lsq.lb_full_stalls -= before.lsq.lb_full_stalls;
+        r.lsq.in_order_stalls -= before.lsq.in_order_stalls;
+        r.lsq.store_set_waits -= before.lsq.store_set_waits;
+        // The segment histogram is cumulative too: subtract the warm-up
+        // snapshot so Table 6 reflects only the measured window.
+        r.lsq.seg_search_hist.subtract(&before.lsq.seg_search_hist);
+        // Occupancy means are sampled once per cycle, so the cycle counts are
+        // their exact sample counts: re-base each mean onto the measured
+        // window by removing the warm-up window's weighted contribution.
+        let rebase = |b: f64, a: f64| rebase_mean(b, before.cycles, a, after.cycles);
+        r.lq_occupancy = rebase(before.lq_occupancy, after.lq_occupancy);
+        r.sq_occupancy = rebase(before.sq_occupancy, after.sq_occupancy);
+        r.ooo_issued_loads = rebase(before.ooo_issued_loads, after.ooo_issued_loads);
+        r.inflight_loads = rebase(before.inflight_loads, after.inflight_loads);
+        // The CPI stack is cumulative and monotone, so the measured-window
+        // stack is a component-wise difference — the partition invariant
+        // carries over: diffed components sum to diffed cycles × width.
+        // Stage-latency histograms are cumulative over committed
+        // instructions; the same windowing applies.
+        if let (Some(a), Some(b)) = (&after.cpi_stack, &before.cpi_stack) {
+            r.cpi_stack = Some(a.minus(b));
+        }
+        if let (Some(a), Some(b)) = (&after.stage_latency, &before.stage_latency) {
+            r.stage_latency = Some(a.minus(b));
+        }
+        r
+    }
+
     /// Every counter of this result as aligned text under `title` —
     /// `bin/diag`'s report, including the Table 3 predictor counters.
     /// Counts print as integers, floats to four places and rates as
@@ -224,6 +291,18 @@ impl SimResult {
         }
         out
     }
+}
+
+/// Mean over only the samples recorded after a snapshot:
+/// `(after_mean·after_n − before_mean·before_n) / (after_n − before_n)`,
+/// clamped at zero against floating-point cancellation.
+fn rebase_mean(before_mean: f64, before_n: u64, after_mean: f64, after_n: u64) -> f64 {
+    let n = after_n.saturating_sub(before_n);
+    if n == 0 {
+        return 0.0;
+    }
+    let sum = after_mean * after_n as f64 - before_mean * before_n as f64;
+    (sum / n as f64).max(0.0)
 }
 
 #[cfg(test)]
@@ -369,6 +448,47 @@ mod tests {
   within_2_segments               33.33%
 ";
         assert_eq!(r.render("unit test"), format!("{body}{segments}"));
+    }
+
+    #[test]
+    fn diffing_rebases_means_and_histogram() {
+        let mut before = blank();
+        before.lsq = LsqStats::new(4);
+        before.cycles = 1_000;
+        before.lq_occupancy = 30.0; // congested warm-up window
+        before.lsq.seg_search_hist.record(0);
+        before.lsq.seg_search_hist.record(3);
+        let mut after = blank();
+        after.lsq = LsqStats::new(4);
+        after.cycles = 3_000;
+        // Cumulative mean: (30·1000 + 6·2000) / 3000 = 14.
+        after.lq_occupancy = 14.0;
+        after.lsq.seg_search_hist.record(0);
+        after.lsq.seg_search_hist.record(3);
+        after.lsq.seg_search_hist.record(1);
+        let r = after.since(&before);
+        assert_eq!(r.cycles, 2_000);
+        assert!(
+            (r.lq_occupancy - 6.0).abs() < 1e-9,
+            "warm-up congestion removed"
+        );
+        // Only the measured-window observation remains.
+        assert_eq!(r.lsq.seg_search_hist.count(), 1);
+        assert_eq!(r.lsq.seg_search_hist.bucket(1), 1);
+        assert_eq!(r.lsq.seg_search_hist.bucket(0), 0);
+        assert_eq!(r.lsq.seg_search_hist.bucket(3), 0);
+    }
+
+    #[test]
+    fn rebase_mean_edge_cases() {
+        // No new samples: define the mean as zero rather than dividing
+        // by zero.
+        assert_eq!(rebase_mean(5.0, 100, 5.0, 100), 0.0);
+        // No warm-up: the cumulative mean passes through.
+        assert_eq!(rebase_mean(0.0, 0, 7.5, 200), 7.5);
+        // A difference that would go negative (rounding noise near zero)
+        // clamps at zero instead.
+        assert_eq!(rebase_mean(2.0, 100, 1.0, 101), 0.0);
     }
 
     #[test]

@@ -260,10 +260,12 @@ impl<P: Probe> Simulator<P> {
         self.mem.prewarm_code(code.0, code.1);
     }
 
-    /// Runs until `max_instrs` instructions have committed (or the trace
-    /// ends, or the safety cycle cap triggers) and reports the results.
-    /// Calling `run` again continues the same machine state with a fresh
-    /// instruction budget, which is how warm-up runs are expressed.
+    /// Runs until `max_instrs` more instructions have committed (or the
+    /// trace ends, or the safety cycle cap triggers) and reports the
+    /// run's cumulative counters, from the first cycle on. Calling `run`
+    /// again continues the same machine state with a fresh instruction
+    /// budget; [`Simulator::measure`] uses that to report a measured
+    /// window after a warm-up.
     pub fn run<S: InstructionStream>(&mut self, stream: &mut S, max_instrs: u64) -> SimResult {
         let target = self.committed + max_instrs;
         let cycle_cap = self
@@ -299,6 +301,23 @@ impl<P: Probe> Simulator<P> {
             }
         }
         self.result(hit_cap)
+    }
+
+    /// Runs `warmup` instructions, then `instrs` more, and reports the
+    /// second window alone: the [`run`](Simulator::run) after the warm-up
+    /// minus a snapshot taken between the two (see [`SimResult::since`]).
+    /// Caches, predictors and queues carry their warm-up state into the
+    /// measured window. Host-side timing in the probe's phase profile is
+    /// not windowed: it covers the warm-up too.
+    pub fn measure<S: InstructionStream>(
+        &mut self,
+        stream: &mut S,
+        warmup: u64,
+        instrs: u64,
+    ) -> SimResult {
+        let _ = self.run(stream, warmup);
+        let before = self.run(stream, 0);
+        self.run(stream, instrs).since(&before)
     }
 
     /// Runs `f` under the probe's clock for `phase`. Without a timer
@@ -1497,6 +1516,49 @@ mod tests {
         assert_eq!(stack.total_slots(), r.cycles * 8);
         assert_eq!(stack.slots("base"), r.committed);
         assert_eq!(stack.cycles(), r.cycles);
+    }
+
+    /// `measure` is exactly the warm-up, the `run(0)` snapshot, the
+    /// measured run and `since`, spelled out here once as the reference,
+    /// unobserved and with the accountant attached.
+    #[test]
+    fn measure_is_warmup_snapshot_and_difference() {
+        use crate::accounting::CpiStack;
+        use crate::probe::ProbeSet;
+        use lsq_core::SegAlloc;
+        use lsq_trace::BenchProfile;
+        fn both<P: Probe>(bench: &str, lsq: LsqConfig, probe: impl Fn() -> P) -> [String; 2] {
+            let profile = BenchProfile::named(bench).expect("known benchmark");
+            let fresh = || {
+                let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq), probe());
+                let stream = profile.stream(1);
+                sim.prewarm(&stream.data_regions(), stream.code_region());
+                (sim, stream)
+            };
+            let (mut sim, mut stream) = fresh();
+            let measured = sim.measure(&mut stream, 2_000, 5_000);
+            let (mut sim, mut stream) = fresh();
+            let _ = sim.run(&mut stream, 2_000);
+            let before = sim.run(&mut stream, 0);
+            let manual = sim.run(&mut stream, 5_000).since(&before);
+            [format!("{measured:?}"), format!("{manual:?}")]
+        }
+        let accounted = || ProbeSet {
+            acct: Some(CpiStack::default()),
+            ..ProbeSet::default()
+        };
+        for bench in ["gzip", "mcf"] {
+            for lsq in [
+                LsqConfig::default(),
+                LsqConfig::segmented(SegAlloc::SelfCircular),
+            ] {
+                let [measured, manual] = both(bench, lsq, || NopProbe);
+                assert_eq!(measured, manual, "{bench}: unobserved");
+                let [measured, manual] = both(bench, lsq, accounted);
+                assert!(measured.contains("cpi_stack: Some"), "{bench}: no stack");
+                assert_eq!(measured, manual, "{bench}: accounted");
+            }
+        }
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of displayable values.
-    pub fn row_display<D: fmt::Display>(&mut self, cells: &[D]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -128,13 +123,6 @@ mod tests {
         assert!(s.contains("extra"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn row_display_formats_values() {
-        let mut t = Table::new(vec!["v"]);
-        t.row_display(&[1.5f64]);
-        assert!(t.to_string().contains("1.5"));
     }
 
     #[test]

@@ -124,16 +124,6 @@ impl BenchProfile {
     pub fn all() -> &'static [BenchProfile] {
         &ALL
     }
-
-    /// The nine integer benchmarks.
-    pub fn int_benchmarks() -> impl Iterator<Item = &'static BenchProfile> {
-        ALL.iter().filter(|p| !p.fp)
-    }
-
-    /// The nine floating-point benchmarks.
-    pub fn fp_benchmarks() -> impl Iterator<Item = &'static BenchProfile> {
-        ALL.iter().filter(|p| p.fp)
-    }
 }
 
 /// A template with middle-of-the-road values; each benchmark overrides the
@@ -623,8 +613,8 @@ mod tests {
     #[test]
     fn eighteen_benchmarks_nine_each() {
         assert_eq!(BenchProfile::all().len(), 18);
-        assert_eq!(BenchProfile::int_benchmarks().count(), 9);
-        assert_eq!(BenchProfile::fp_benchmarks().count(), 9);
+        let fp = BenchProfile::all().iter().filter(|p| p.fp).count();
+        assert_eq!(fp, 9, "nine floating-point, nine integer");
     }
 
     #[test]

@@ -474,14 +474,6 @@ impl StaticProgram {
             pattern: None,
         }
     }
-
-    /// Total static instructions (bodies plus branches).
-    pub fn static_len(&self) -> usize {
-        self.blocks
-            .iter()
-            .map(|b| b.body.len() + usize::from(b.end != BlockEnd::FallThrough))
-            .sum()
-    }
 }
 
 /// Highest register number handed out by the round-robin allocator.
@@ -664,18 +656,12 @@ mod tests {
     }
 
     #[test]
-    fn static_len_counts_branches() {
-        let prog = StaticProgram::build(sample_profile(), 9);
-        let bodies: usize = prog.blocks.iter().map(|b| b.body.len()).sum();
-        assert!(prog.static_len() > bodies);
-    }
-
-    #[test]
     fn every_profile_builds() {
         for p in BenchProfile::all() {
             let prog = StaticProgram::build(p, 1);
             assert!(!prog.blocks.is_empty(), "{} has blocks", p.name);
-            assert!(prog.static_len() > 10, "{} is non-trivial", p.name);
+            let bodies: usize = prog.blocks.iter().map(|b| b.body.len()).sum();
+            assert!(bodies > 10, "{} is non-trivial", p.name);
         }
     }
 }

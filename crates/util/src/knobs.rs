@@ -2,7 +2,7 @@
 //!
 //! Every environment variable the workspace reads is declared here —
 //! name, value kind, default, and a one-line doc — and read through
-//! [`get`] / [`get_os`] / [`flag`]. The `lsq-lint` rule `knob-registry`
+//! [`get`] / [`flag`]. The `lsq-lint` rule `knob-registry`
 //! enforces this mechanically: a literal `std::env::var("LSQ_…")` call
 //! anywhere outside this module is a lint error, as is drift between
 //! this table and the knob table in `EXPERIMENTS.md` (in either
@@ -11,8 +11,6 @@
 //! Registering a knob means adding one [`Knob`] row to [`REGISTRY`] and
 //! one row to the `EXPERIMENTS.md` knob table; call sites then use
 //! `lsq_util::knobs::get("LSQ_MY_KNOB")`.
-
-use std::ffi::OsString;
 
 /// One registered environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,12 +138,6 @@ fn assert_registered(name: &str) {
 pub fn get(name: &str) -> Option<String> {
     assert_registered(name);
     std::env::var(name).ok()
-}
-
-/// Reads a registered knob as an `OsString`, `None` when unset.
-pub fn get_os(name: &str) -> Option<OsString> {
-    assert_registered(name);
-    std::env::var_os(name)
 }
 
 /// Reads a boolean knob: set, non-empty, and not `0` (after trimming).

@@ -92,12 +92,6 @@ impl Xoshiro256 {
         result
     }
 
-    /// Returns the next 32 random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform value in `0..bound`. Returns 0 when `bound == 0`.
     ///
     /// Uses Lemire's multiply-shift rejection method for unbiased output.

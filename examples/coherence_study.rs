@@ -23,8 +23,7 @@ fn run(bench: &str, lsq_cfg: LsqConfig, inval_rate: f64) -> lsq::pipeline::SimRe
     cfg.invalidation_rate = inval_rate;
     let mut sim = Simulator::new(cfg);
     sim.prewarm(&stream.data_regions(), stream.code_region());
-    let _ = sim.run(&mut stream, 60_000);
-    sim.run(&mut stream, 150_000)
+    sim.measure(&mut stream, 60_000, 150_000)
 }
 
 fn main() {

@@ -13,8 +13,7 @@ fn run(bench: &str, lsq_cfg: LsqConfig) -> lsq::pipeline::SimResult {
     let mut stream = profile.stream(1);
     let mut sim = Simulator::new(SimConfig::with_lsq(lsq_cfg));
     sim.prewarm(&stream.data_regions(), stream.code_region());
-    let _ = sim.run(&mut stream, 60_000);
-    sim.run(&mut stream, 150_000)
+    sim.measure(&mut stream, 60_000, 150_000)
 }
 
 fn main() {

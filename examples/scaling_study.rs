@@ -18,8 +18,7 @@ fn run(bench: &str, scaled: bool, lsq_cfg: LsqConfig) -> lsq::pipeline::SimResul
     };
     let mut sim = Simulator::new(cfg);
     sim.prewarm(&stream.data_regions(), stream.code_region());
-    let _ = sim.run(&mut stream, 60_000);
-    sim.run(&mut stream, 150_000)
+    sim.measure(&mut stream, 60_000, 150_000)
 }
 
 fn main() {

@@ -15,8 +15,7 @@ fn run(bench: &str, lsq_cfg: LsqConfig) -> lsq::pipeline::SimResult {
     let mut stream = profile.stream(1);
     let mut sim = Simulator::new(SimConfig::with_lsq(lsq_cfg));
     sim.prewarm(&stream.data_regions(), stream.code_region());
-    let _ = sim.run(&mut stream, WARMUP);
-    sim.run(&mut stream, INSTRS)
+    sim.measure(&mut stream, WARMUP, INSTRS)
 }
 
 /// Figure 6 shape: search-demand ordering perfect < pair < conventional,

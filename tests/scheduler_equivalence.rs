@@ -21,95 +21,64 @@
 //! load-load and invalidation), the load buffer, and segmented search.
 
 use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
-use lsq::experiments::runner::diff_results;
-use lsq::pipeline::{CpiStack, PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator};
+use lsq::pipeline::{
+    CpiStack, NopProbe, PipeviewRecorder, Probe, ProbeSet, SimConfig, SimResult, Simulator,
+};
 use lsq::trace::BenchProfile;
 
 const WARMUP: u64 = 3_000;
 const INSTRS: u64 = 10_000;
 
-/// Runs `bench` × `lsq_cfg` with warm-up differencing, with either the
-/// event scheduler (default) or the reference polling scheduler.
-fn run(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
-    run_config(bench, SimConfig::with_lsq(lsq_cfg), polling)
-}
-
-/// Like [`run`], for a whole processor configuration.
-fn run_config(bench: &str, cfg: SimConfig, polling: bool) -> SimResult {
+/// Runs `bench` on `cfg` reporting to `probe`, measured after a warm-up,
+/// with either the event scheduler (default) or the reference polling
+/// scheduler.
+fn run(bench: &str, cfg: SimConfig, polling: bool, probe: impl Probe) -> SimResult {
     let profile = BenchProfile::named(bench).expect("known benchmark");
     let mut stream = profile.stream(1);
-    let mut sim = Simulator::new(cfg);
+    let mut sim = Simulator::with_probe(cfg, probe);
     if polling {
         sim.set_reference_scheduler();
     }
     sim.prewarm(&stream.data_regions(), stream.code_region());
-    let _ = sim.run(&mut stream, WARMUP);
-    let before = sim.run(&mut stream, 0);
-    let after = sim.run(&mut stream, INSTRS);
-    diff_results(&before, &after)
+    sim.measure(&mut stream, WARMUP, INSTRS)
 }
 
-/// Like [`run`], but with the cycle accountant attached, so the
-/// differenced result carries a CPI stack for the measured window.
-fn run_accounted(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
-    let profile = BenchProfile::named(bench).expect("known benchmark");
-    let mut stream = profile.stream(1);
-    let probe = ProbeSet {
+/// The cycle accountant: a run's result carries a CPI stack for the
+/// measured window.
+fn accountant() -> ProbeSet {
+    ProbeSet {
         acct: Some(CpiStack::default()),
         ..ProbeSet::default()
-    };
-    let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq_cfg), probe);
-    if polling {
-        sim.set_reference_scheduler();
     }
-    sim.prewarm(&stream.data_regions(), stream.code_region());
-    let _ = sim.run(&mut stream, WARMUP);
-    let before = sim.run(&mut stream, 0);
-    let after = sim.run(&mut stream, INSTRS);
-    diff_results(&before, &after)
 }
 
-/// Like [`run`], but with the lifecycle recorder attached, so the
-/// differenced result carries per-stage latency histograms.
-fn run_recorded(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
-    let profile = BenchProfile::named(bench).expect("known benchmark");
-    let mut stream = profile.stream(1);
-    let probe = ProbeSet {
+/// The lifecycle recorder: a run's result carries per-stage latency
+/// histograms for the measured window.
+fn recorder() -> ProbeSet {
+    ProbeSet {
         life: Some(PipeviewRecorder::new(4096)),
         ..ProbeSet::default()
-    };
-    let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq_cfg), probe);
-    if polling {
-        sim.set_reference_scheduler();
     }
-    sim.prewarm(&stream.data_regions(), stream.code_region());
-    let _ = sim.run(&mut stream, WARMUP);
-    let before = sim.run(&mut stream, 0);
-    let after = sim.run(&mut stream, INSTRS);
-    diff_results(&before, &after)
 }
 
-fn design_points() -> Vec<(&'static str, LsqConfig)> {
-    vec![
+fn design_points() -> Vec<(&'static str, SimConfig)> {
+    let pair = LsqConfig {
+        predictor: PredictorKind::Pair,
+        ..LsqConfig::default()
+    };
+    [
         ("conventional2", LsqConfig::default()),
-        (
-            "pair",
-            LsqConfig {
-                predictor: PredictorKind::Pair,
-                ..LsqConfig::default()
-            },
-        ),
+        ("pair", pair),
         ("lb1", LsqConfig::with_techniques(1)),
         ("segmented", LsqConfig::segmented(SegAlloc::SelfCircular)),
     ]
+    .into_iter()
+    .map(|(label, lsq)| (label, SimConfig::with_lsq(lsq)))
+    .collect()
 }
 
 fn assert_equivalent(bench: &str) {
-    let points = design_points().into_iter();
-    assert_agree(
-        bench,
-        points.map(|(label, cfg)| (label, SimConfig::with_lsq(cfg))),
-    );
+    assert_agree(bench, design_points().into_iter());
 }
 
 /// Runs `bench` at every point under both schedulers, asserts that they
@@ -120,8 +89,8 @@ fn assert_agree(
 ) -> Vec<SimResult> {
     points
         .map(|(label, cfg)| {
-            let event = run_config(bench, cfg.clone(), false);
-            let polling = run_config(bench, cfg, true);
+            let event = run(bench, cfg.clone(), false, NopProbe);
+            let polling = run(bench, cfg, true, NopProbe);
             // SimResult has no float-free Eq; the Debug rendering covers
             // every field (occupancy means included) exactly. wall_nanos
             // and sim_mips are both zero here — only the engine stamps
@@ -148,8 +117,8 @@ fn assert_agree(
 fn accounting_is_invisible_and_partitions_every_slot() {
     for bench in ["gzip", "mcf"] {
         for (label, cfg) in design_points() {
-            let plain = run(bench, cfg, false);
-            let mut accounted = run_accounted(bench, cfg, false);
+            let plain = run(bench, cfg.clone(), false, NopProbe);
+            let mut accounted = run(bench, cfg, false, accountant());
             let stack = accounted
                 .cpi_stack
                 .take()
@@ -182,8 +151,8 @@ fn accounting_is_invisible_and_partitions_every_slot() {
 fn lifecycle_recording_is_invisible_and_covers_every_commit() {
     for bench in ["gzip", "mcf"] {
         for (label, cfg) in design_points() {
-            let plain = run(bench, cfg, false);
-            let mut recorded = run_recorded(bench, cfg, false);
+            let plain = run(bench, cfg.clone(), false, NopProbe);
+            let mut recorded = run(bench, cfg, false, recorder());
             let stages = recorded
                 .stage_latency
                 .take()
@@ -215,8 +184,8 @@ fn lifecycle_recording_is_invisible_and_covers_every_commit() {
 #[test]
 fn accounted_schedulers_agree() {
     for (label, cfg) in design_points() {
-        let event = run_accounted("gzip", cfg, false);
-        let polling = run_accounted("gzip", cfg, true);
+        let event = run("gzip", cfg.clone(), false, accountant());
+        let polling = run("gzip", cfg, true, accountant());
         assert!(event.cpi_stack.is_some(), "gzip/{label}: stack missing");
         assert_eq!(
             format!("{event:?}"),
@@ -309,11 +278,11 @@ fn ammp_schedulers_agree() {
 /// A jump must stop at the cycle cap exactly where stepping stops.
 #[test]
 fn schedulers_agree_at_the_cycle_cap() {
-    for (label, lsq_cfg) in design_points() {
+    for (label, point) in design_points() {
         let capped = |polling: bool| {
             let profile = BenchProfile::named("art").expect("known benchmark");
             let mut stream = profile.stream(1);
-            let mut cfg = SimConfig::with_lsq(lsq_cfg);
+            let mut cfg = point.clone();
             cfg.cycle_cap_per_instr = 1;
             let mut sim = Simulator::new(cfg);
             if polling {
