@@ -6,7 +6,8 @@
 //!     --out BENCH_sim.json --instrs 250000 --warmup 100000
 //! ```
 //!
-//! The matrix is the four design points the experiments lean on most —
+//! The matrix is the four standard design points
+//! (`lsq_experiments::experiments::design_points`) —
 //! the two-ported conventional base, the pair predictor, the 1-ported
 //! load buffer, and the self-circular segmented queue — each run over
 //! all 18 Table 2 benchmarks. Every job records the host-side
@@ -25,25 +26,10 @@
 //! least noisy numbers, and interleave before/after binaries when
 //! comparing revisions (see "Simulator performance" in EXPERIMENTS.md).
 
-use lsq_core::{LsqConfig, PredictorKind, SegAlloc};
+use lsq_core::LsqConfig;
+use lsq_experiments::experiments::design_points;
 use lsq_experiments::runner::{run_matrix, RunSpec};
 use lsq_obs::Json;
-
-/// The standard throughput matrix: one representative per LSQ family.
-fn design_points() -> Vec<(&'static str, LsqConfig)> {
-    vec![
-        ("conventional2", LsqConfig::default()),
-        (
-            "pair",
-            LsqConfig {
-                predictor: PredictorKind::Pair,
-                ..LsqConfig::default()
-            },
-        ),
-        ("lb1", LsqConfig::with_techniques(1)),
-        ("segmented", LsqConfig::segmented(SegAlloc::SelfCircular)),
-    ]
-}
 
 fn git_rev() -> String {
     std::process::Command::new("git")
@@ -67,35 +53,24 @@ fn main() {
     let mut out = String::from("BENCH_sim.json");
     let mut spec = RunSpec::default();
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let need = |i: &mut usize| -> &str {
-            *i += 1;
-            argv.get(*i - 1)
+    // Every flag takes a value.
+    for pair in argv.chunks(2) {
+        let flag = pair[0].as_str();
+        let value = || {
+            pair.get(1)
                 .map(String::as_str)
                 .unwrap_or_else(|| usage("missing flag value"))
         };
-        match argv[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = need(&mut i).to_string();
-            }
-            "--instrs" => {
-                i += 1;
-                spec.instrs = need(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --instrs"));
-            }
-            "--warmup" => {
-                i += 1;
-                spec.warmup = need(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --warmup"));
-            }
-            "--seed" => {
-                i += 1;
-                spec.seed = need(&mut i).parse().unwrap_or_else(|_| usage("bad --seed"));
-            }
+        let number = || {
+            value()
+                .parse()
+                .unwrap_or_else(|_| usage(&format!("bad {flag}")))
+        };
+        match flag {
+            "--out" => out = value().to_string(),
+            "--instrs" => spec.instrs = number(),
+            "--warmup" => spec.warmup = number(),
+            "--seed" => spec.seed = number(),
             other => usage(&format!("unknown flag {other}")),
         }
     }

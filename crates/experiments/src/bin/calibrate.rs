@@ -4,29 +4,9 @@
 //! profiles as `program_seed`.
 
 use lsq_core::LsqConfig;
+use lsq_experiments::experiments::PAPER_BASE_IPC;
 use lsq_pipeline::{SimConfig, Simulator};
 use lsq_trace::{BenchProfile, TraceGenerator};
-
-const PAPER: &[(&str, f64)] = &[
-    ("bzip", 2.5),
-    ("gcc", 2.1),
-    ("gzip", 2.0),
-    ("mcf", 0.3),
-    ("parser", 1.9),
-    ("perl", 3.0),
-    ("twolf", 1.5),
-    ("vortex", 2.2),
-    ("vpr", 1.3),
-    ("ammp", 1.2),
-    ("applu", 2.6),
-    ("art", 0.3),
-    ("equake", 1.1),
-    ("mesa", 3.3),
-    ("mgrid", 2.2),
-    ("sixtrack", 2.9),
-    ("swim", 1.0),
-    ("wupwise", 2.9),
-];
 
 /// Returns (ipc, mean out-of-order-issued loads) over the measured
 /// window of one candidate static program, after its warm-up.
@@ -43,7 +23,7 @@ fn main() {
     let seeds: Vec<u64> = (0..56).collect();
     // One task per benchmark on the engine's work-stealing scheduler
     // (honors LSQ_JOBS; defaults to available parallelism).
-    let tasks: Vec<_> = PAPER
+    let tasks: Vec<_> = PAPER_BASE_IPC
         .iter()
         .map(|&(name, target)| {
             let seeds = seeds.clone();

@@ -21,9 +21,12 @@
 //! * `--warmup <n>`            warm-up instructions (default 100000)
 //! * `--seed <n>`              dynamic workload seed (default 1)
 //! * `--csv`                   machine-readable one-line-per-benchmark output
+//!
+//! Without `--csv`, each benchmark prints `SimResult::render`'s report:
+//! every counter, in titled sections.
 
 use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc};
-use lsq_experiments::runner::{run_design_point, RunSpec};
+use lsq_experiments::{Job, RunSpec};
 use lsq_pipeline::SimResult;
 use lsq_trace::BenchProfile;
 
@@ -148,37 +151,6 @@ fn parse_args() -> Args {
     }
 }
 
-fn print_human(bench: &str, r: &SimResult) {
-    println!("== {bench} ==");
-    println!(
-        "  IPC                 {:.3}  ({} instrs, {} cycles)",
-        r.ipc(),
-        r.committed,
-        r.cycles
-    );
-    println!(
-        "  branch mispredict   {:.2}%",
-        r.branch_mispredict_rate() * 100.0
-    );
-    println!("  L1D miss            {:.2}%", r.l1d_miss_rate * 100.0);
-    println!(
-        "  SQ searches         {} ({} forwarded)",
-        r.lsq.sq_searches, r.lsq.sq_search_hits
-    );
-    println!(
-        "  LQ searches         {} by stores + {} by loads (+{} load-buffer)",
-        r.lsq.lq_searches_by_stores, r.lsq.lq_searches_by_loads, r.lsq.lb_searches
-    );
-    println!(
-        "  violations/squashes {} store-load, {} at commit",
-        r.lsq.violations, r.lsq.commit_violations
-    );
-    println!(
-        "  occupancy           LQ {:.1} / SQ {:.1}; OoO-issued loads {:.1}",
-        r.lq_occupancy, r.sq_occupancy, r.ooo_issued_loads
-    );
-}
-
 fn print_csv_header() {
     println!(
         "bench,ipc,cycles,committed,br_mispredict,l1d_miss,sq_searches,sq_hits,\
@@ -208,26 +180,27 @@ fn print_csv(bench: &str, r: &SimResult) {
 
 fn main() {
     let args = parse_args();
-    // `--bench all` goes through the engine as one batch so benchmarks
-    // run on the work-stealing pool (`LSQ_JOBS` workers) instead of
-    // serially; single benchmarks take the same path with one job.
-    let results: Vec<(&str, SimResult)> = if args.bench == "all" {
-        lsq_experiments::runner::run_all_benchmarks(args.lsq, args.scaled, args.spec)
-    } else {
-        let name = BenchProfile::named(&args.bench).expect("validated").name;
-        vec![(
-            name,
-            run_design_point(name, args.lsq, args.scaled, args.spec),
-        )]
-    };
+    // One engine batch: `--bench all` runs its benchmarks on the
+    // work-stealing pool (`LSQ_JOBS` workers), in Table 2 order.
+    let jobs: Vec<Job> = BenchProfile::all()
+        .iter()
+        .filter(|p| args.bench == "all" || p.name == args.bench)
+        .map(|p| Job {
+            bench: p.name,
+            lsq: args.lsq,
+            scaled: args.scaled,
+            spec: args.spec,
+        })
+        .collect();
+    let results = lsq_experiments::engine::global().run_batch(&jobs);
     if args.csv {
         print_csv_header();
     }
-    for (bench, r) in &results {
+    for (job, r) in jobs.iter().zip(&results) {
         if args.csv {
-            print_csv(bench, r);
+            print_csv(job.bench, r);
         } else {
-            print_human(bench, r);
+            println!("{}", r.render(job.bench));
         }
     }
 }

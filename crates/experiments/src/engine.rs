@@ -125,24 +125,44 @@ struct JobRecord {
 impl JobRecord {
     fn to_json(&self) -> Json {
         let (j, r) = (&self.job, &self.result);
+        // Destructured, so a new `LsqConfig` field cannot be left out of
+        // the dump: two jobs with different configs never look alike.
+        let LsqConfig {
+            lq_entries,
+            sq_entries,
+            ports,
+            predictor,
+            load_order,
+            segmentation,
+            ssit_entries,
+            lfst_entries,
+            counter_max,
+            store_set_gating,
+            load_load_squash,
+        } = j.lsq;
         Json::obj(vec![
             ("bench", Json::from(j.bench)),
             ("scaled", j.scaled.into()),
             ("warmup", j.spec.warmup.into()),
             ("instrs", j.spec.instrs.into()),
             ("seed", j.spec.seed.into()),
-            ("ports", j.lsq.ports.into()),
-            ("lq_entries", j.lsq.lq_entries.into()),
-            ("sq_entries", j.lsq.sq_entries.into()),
-            ("predictor", format!("{:?}", j.lsq.predictor).into()),
-            ("load_order", format!("{:?}", j.lsq.load_order).into()),
+            ("ports", ports.into()),
+            ("lq_entries", lq_entries.into()),
+            ("sq_entries", sq_entries.into()),
+            ("predictor", format!("{predictor:?}").into()),
+            ("load_order", format!("{load_order:?}").into()),
             (
                 "segmentation",
-                match j.lsq.segmentation {
+                match segmentation {
                     Some(seg) => format!("{seg:?}").into(),
                     None => Json::Null,
                 },
             ),
+            ("ssit_entries", ssit_entries.into()),
+            ("lfst_entries", lfst_entries.into()),
+            ("counter_max", u32::from(counter_max).into()),
+            ("store_set_gating", store_set_gating.into()),
+            ("load_load_squash", load_load_squash.into()),
             ("cached", self.cached.into()),
             ("wall_nanos", r.wall_nanos.into()),
             ("cycles", r.cycles.into()),
@@ -721,6 +741,70 @@ mod tests {
         assert!(
             matches!(records[0].get("stage_latency"), Some(Json::Null)),
             "stage_latency field present but null without LSQ_PIPEVIEW"
+        );
+    }
+
+    /// Jobs that differ in any one `LsqConfig` field are told apart by
+    /// their records' config fields (the supplementary artifact's
+    /// 32-entry-SSIT jobs against the defaults, say).
+    #[test]
+    fn json_dump_tells_jobs_apart_by_every_config_field() {
+        let base = job("gzip");
+        let variant = |edit: fn(&mut LsqConfig)| {
+            let mut j = base;
+            edit(&mut j.lsq);
+            j
+        };
+        let jobs = [
+            base,
+            variant(|c| c.ssit_entries = 32),
+            variant(|c| c.lfst_entries = 8),
+            variant(|c| c.counter_max = 3),
+            variant(|c| c.store_set_gating = false),
+            variant(|c| c.load_load_squash = true),
+        ];
+        let engine = Engine::new();
+        let _ = engine.run_batch_with_workers(&jobs, Some(1));
+        let path =
+            std::env::temp_dir().join(format!("lsq_engine_config_{}.json", std::process::id()));
+        engine.dump_json(path.to_str().unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let parsed = Json::parse(&text).expect("dump is valid JSON");
+        let records = parsed.as_arr().expect("dump is an array");
+        assert_eq!(records.len(), jobs.len());
+        let config = |r: &Json| -> Vec<Option<Json>> {
+            [
+                "bench",
+                "scaled",
+                "warmup",
+                "instrs",
+                "seed",
+                "ports",
+                "lq_entries",
+                "sq_entries",
+                "predictor",
+                "load_order",
+                "segmentation",
+                "ssit_entries",
+                "lfst_entries",
+                "counter_max",
+                "store_set_gating",
+                "load_load_squash",
+            ]
+            .map(|k| r.get(k).cloned())
+            .into()
+        };
+        for (i, r) in records.iter().enumerate().skip(1) {
+            assert_ne!(
+                config(r),
+                config(&records[0]),
+                "job {i} looks like the default job"
+            );
+        }
+        assert_eq!(
+            records[1].get("ssit_entries").and_then(Json::as_u64),
+            Some(32)
         );
     }
 

@@ -69,8 +69,54 @@ fn paper_ipc(name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
+/// The standard design points, with their labels: the 2-ported
+/// conventional baseline and one point for each of the paper's three
+/// techniques. The CPI-stack and critical-path tables compare them, the
+/// `bench` binary measures throughput on them (its `BENCH_sim.json`
+/// keys jobs by these labels), and the tests sweep them.
+pub fn design_points() -> [(&'static str, LsqConfig); 4] {
+    [
+        ("conventional2", LsqConfig::default()),
+        (
+            "pair",
+            LsqConfig {
+                predictor: PredictorKind::Pair,
+                ..LsqConfig::default()
+            },
+        ),
+        ("lb1", LsqConfig::with_techniques(1)),
+        ("segmented", LsqConfig::segmented(SegAlloc::SelfCircular)),
+    ]
+}
+
 fn fmt2(x: f64) -> String {
     format!("{x:.2}")
+}
+
+/// One `(bench, value)` pair per benchmark, in row order.
+type Series = Vec<(&'static str, f64)>;
+
+/// The table of a figure that compares each later design point of `rows`
+/// against the row's first: under `header` (the bench column, then one
+/// per compared point), each cell is `fmt2(value(result, base))`. Also
+/// returns each column's values as a [`Series`] for the Int/Fp notes.
+fn columns(
+    header: Vec<&str>,
+    rows: &[(&'static str, Vec<SimResult>)],
+    value: impl Fn(&SimResult, &SimResult) -> f64,
+) -> (Table, Vec<Series>) {
+    let mut series = vec![Series::new(); header.len() - 1];
+    let mut t = Table::new(header);
+    for (name, r) in rows {
+        let mut row = vec![name.to_string()];
+        for (s, result) in series.iter_mut().zip(&r[1..]) {
+            let v = value(result, &r[0]);
+            row.push(fmt2(v));
+            s.push((*name, v));
+        }
+        t.row(row);
+    }
+    (t, series)
 }
 
 fn speedup_row_note(label: &str, rows: &[(&'static str, f64)]) -> String {
@@ -208,39 +254,16 @@ fn predictor_configs() -> [LsqConfig; 4] {
     ]
 }
 
-fn predictor_matrix(spec: RunSpec) -> Vec<(&'static str, Vec<SimResult>)> {
-    run_matrix(&predictor_configs(), false, spec)
-}
-
 /// Figure 6: store-queue search bandwidth demand of the perfect,
 /// aggressive, and store-load pair predictors, relative to the base case
 /// in which every load searches.
 pub fn fig6(spec: RunSpec) -> Artifact {
-    fig6_from(&predictor_matrix(spec))
-}
-
-fn fig6_from(rows: &[(&'static str, Vec<SimResult>)]) -> Artifact {
-    let mut t = Table::new(vec!["bench", "perfect", "aggressive", "pair"]);
-    let mut perfect = Vec::new();
-    let mut aggressive = Vec::new();
-    let mut pair = Vec::new();
-    for (name, r) in rows {
-        let base = r[0].lsq.sq_searches.max(1) as f64;
-        let p = r[1].lsq.sq_searches as f64 / base;
-        let a = r[2].lsq.sq_searches as f64 / base;
-        let q = r[3].lsq.sq_searches as f64 / base;
-        t.row(vec![name.to_string(), fmt2(p), fmt2(a), fmt2(q)]);
-        perfect.push((*name, p));
-        aggressive.push((*name, a));
-        pair.push((*name, q));
-    }
-    let avg = |v: &[(&'static str, f64)]| {
-        let (i, f) = int_fp_means(v);
-        (i, f)
-    };
-    let (pi, pf) = avg(&perfect);
-    let (ai, af) = avg(&aggressive);
-    let (qi, qf) = avg(&pair);
+    let (t, demand) = columns(
+        vec!["bench", "perfect", "aggressive", "pair"],
+        &run_matrix(&predictor_configs(), false, spec),
+        |r, base| r.lsq.sq_searches as f64 / base.lsq.sq_searches.max(1) as f64,
+    );
+    let [(pi, pf), (ai, af), (qi, qf)] = [0, 1, 2].map(|c| int_fp_means(&demand[c]));
     Artifact {
         id: "Figure 6",
         title: "Search bandwidth reduction in the store queue by using different predictors \
@@ -257,29 +280,18 @@ fn fig6_from(rows: &[(&'static str, Vec<SimResult>)]) -> Artifact {
 
 /// Figure 7: speedup of the three predictors over the 2-ported base case.
 pub fn fig7(spec: RunSpec) -> Artifact {
-    fig7_from(&predictor_matrix(spec))
-}
-
-fn fig7_from(rows: &[(&'static str, Vec<SimResult>)]) -> Artifact {
-    let mut t = Table::new(vec!["bench", "perfect", "aggressive", "pair"]);
-    let mut pair = Vec::new();
-    for (name, r) in rows {
-        let base = &r[0];
-        t.row(vec![
-            name.to_string(),
-            fmt2(r[1].speedup_over(base)),
-            fmt2(r[2].speedup_over(base)),
-            fmt2(r[3].speedup_over(base)),
-        ]);
-        pair.push((*name, r[3].speedup_over(base)));
-    }
+    let (t, speedup) = columns(
+        vec!["bench", "perfect", "aggressive", "pair"],
+        &run_matrix(&predictor_configs(), false, spec),
+        SimResult::speedup_over,
+    );
     Artifact {
         id: "Figure 7",
         title: "Performance benefit from the search bandwidth reduction in the store queue \
                 (speedup over the 2-ported conventional LSQ)",
         table: t,
         notes: vec![
-            speedup_row_note("Measured pair-predictor speedup", &pair),
+            speedup_row_note("Measured pair-predictor speedup", &speedup[2]),
             "Paper: ports are not binding at 2 ports, so the perfect predictor gains little; \
              the aggressive predictor LOSES on some benchmarks (squashes from eager \
              independence predictions); the pair predictor averages ≈ +2% and never loses \
@@ -335,15 +347,12 @@ pub fn fig8(spec: RunSpec) -> Artifact {
             ..LsqConfig::default()
         },
     ];
-    let rows = run_matrix(&cfgs, false, spec);
-    let mut t = Table::new(vec!["bench", "LQ demand vs conventional"]);
-    let mut pairs = Vec::new();
-    for (name, r) in &rows {
-        let ratio = r[1].lsq.lq_searches() as f64 / r[0].lsq.lq_searches().max(1) as f64;
-        t.row(vec![name.to_string(), fmt2(ratio)]);
-        pairs.push((*name, ratio));
-    }
-    let (int, fp) = int_fp_means(&pairs);
+    let (t, demand) = columns(
+        vec!["bench", "LQ demand vs conventional"],
+        &run_matrix(&cfgs, false, spec),
+        |r, base| r.lsq.lq_searches() as f64 / base.lsq.lq_searches().max(1) as f64,
+    );
+    let (int, fp) = int_fp_means(&demand[0]);
     Artifact {
         id: "Figure 8",
         title: "Search bandwidth reduction in the load queue by using the load buffer \
@@ -400,35 +409,25 @@ pub fn fig9(spec: RunSpec) -> Artifact {
         mk(LoadOrderPolicy::LoadBuffer(2)),
         mk(LoadOrderPolicy::LoadBuffer(4)),
     ];
-    let rows = run_matrix(&cfgs, false, spec);
-    let mut t = Table::new(vec![
-        "bench",
-        "inord-always-search",
-        "0-entry (inorder)",
-        "1-entry",
-        "2-entry",
-        "4-entry",
-    ]);
-    let mut two = Vec::new();
-    for (name, r) in &rows {
-        let base = &r[0];
-        t.row(vec![
-            name.to_string(),
-            fmt2(r[1].speedup_over(base)),
-            fmt2(r[2].speedup_over(base)),
-            fmt2(r[3].speedup_over(base)),
-            fmt2(r[4].speedup_over(base)),
-            fmt2(r[5].speedup_over(base)),
-        ]);
-        two.push((*name, r[4].speedup_over(base)));
-    }
+    let (t, speedup) = columns(
+        vec![
+            "bench",
+            "inord-always-search",
+            "0-entry (inorder)",
+            "1-entry",
+            "2-entry",
+            "4-entry",
+        ],
+        &run_matrix(&cfgs, false, spec),
+        SimResult::speedup_over,
+    );
     Artifact {
         id: "Figure 9",
         title: "Performance benefit from the search bandwidth reduction in the load queue \
                 (speedup over the conventional 2-ported load queue)",
         table: t,
         notes: vec![
-            speedup_row_note("Measured 2-entry load buffer", &two),
+            speedup_row_note("Measured 2-entry load buffer", &speedup[3]),
             "Paper: in-order load issue loses ILP (worse when it also burns search \
              bandwidth); a 1-entry buffer recovers most of it; 2 entries ≈ +3% Int / +7% Fp; \
              4 entries is near-infinite."
@@ -451,30 +450,19 @@ pub fn fig10(spec: RunSpec) -> Artifact {
         LsqConfig::with_techniques(2),
         LsqConfig::conventional(4),
     ];
-    let rows = run_matrix(&cfgs, false, spec);
-    let mut t = Table::new(vec!["bench", "1port", "1port+tech", "2port+tech", "4port"]);
-    let mut one_conv = Vec::new();
-    let mut one_tech = Vec::new();
-    for (name, r) in &rows {
-        let base = &r[0];
-        t.row(vec![
-            name.to_string(),
-            fmt2(r[1].speedup_over(base)),
-            fmt2(r[2].speedup_over(base)),
-            fmt2(r[3].speedup_over(base)),
-            fmt2(r[4].speedup_over(base)),
-        ]);
-        one_conv.push((*name, r[1].speedup_over(base)));
-        one_tech.push((*name, r[2].speedup_over(base)));
-    }
+    let (t, speedup) = columns(
+        vec!["bench", "1port", "1port+tech", "2port+tech", "4port"],
+        &run_matrix(&cfgs, false, spec),
+        SimResult::speedup_over,
+    );
     Artifact {
         id: "Figure 10",
         title: "Performance benefit from combining the two search-bandwidth reduction \
                 techniques (speedup over the 2-ported conventional LSQ)",
         table: t,
         notes: vec![
-            speedup_row_note("Measured 1-ported conventional", &one_conv),
-            speedup_row_note("Measured 1-ported with techniques", &one_tech),
+            speedup_row_note("Measured 1-ported conventional", &speedup[0]),
+            speedup_row_note("Measured 1-ported with techniques", &speedup[1]),
             "Paper: the 1-ported conventional LSQ drops ~24%; the 1-ported LSQ WITH the \
              techniques BEATS the 2-ported conventional base (+2% Int / +7% Fp) and the \
              2-ported-with-techniques matches a 4-ported conventional queue."
@@ -501,34 +489,24 @@ pub fn fig11(spec: RunSpec) -> Artifact {
         LsqConfig::segmented(SegAlloc::SelfCircular),
         big,
     ];
-    let rows = run_matrix(&cfgs, false, spec);
-    let mut t = Table::new(vec![
-        "bench",
-        "no-self-circular 4x28",
-        "self-circular 4x28",
-        "128 unsegmented",
-    ]);
-    let mut nsc = Vec::new();
-    let mut sc = Vec::new();
-    for (name, r) in &rows {
-        let base = &r[0];
-        t.row(vec![
-            name.to_string(),
-            fmt2(r[1].speedup_over(base)),
-            fmt2(r[2].speedup_over(base)),
-            fmt2(r[3].speedup_over(base)),
-        ]);
-        nsc.push((*name, r[1].speedup_over(base)));
-        sc.push((*name, r[2].speedup_over(base)));
-    }
+    let (t, speedup) = columns(
+        vec![
+            "bench",
+            "no-self-circular 4x28",
+            "self-circular 4x28",
+            "128 unsegmented",
+        ],
+        &run_matrix(&cfgs, false, spec),
+        SimResult::speedup_over,
+    );
     Artifact {
         id: "Figure 11",
         title: "Performance benefit from segmentation of the LSQ (speedup over the \
                 32-entry 2-ported conventional LSQ)",
         table: t,
         notes: vec![
-            speedup_row_note("Measured no-self-circular", &nsc),
-            speedup_row_note("Measured self-circular", &sc),
+            speedup_row_note("Measured no-self-circular", &speedup[0]),
+            speedup_row_note("Measured self-circular", &speedup[1]),
             "Paper: no-self-circular +0% Int / +16% Fp (five INT benchmarks lose — their \
              working window fits one segment but gets spread over two); self-circular +5% \
              Int / +19% Fp, up to +15%/+33%, and even beats the unrealistic 128-entry \
@@ -707,24 +685,6 @@ pub fn supplementary_ssit_pressure(spec: RunSpec) -> Artifact {
 // CPI stacks — cycle accounting across the paper's techniques
 // ----------------------------------------------------------------------
 
-/// The design points of the CPI-stack and critical-path tables, with
-/// their labels: the 2-ported conventional baseline and the paper's
-/// three techniques.
-fn technique_designs() -> [(&'static str, LsqConfig); 4] {
-    [
-        ("conv2", LsqConfig::default()),
-        (
-            "pair",
-            LsqConfig {
-                predictor: PredictorKind::Pair,
-                ..LsqConfig::default()
-            },
-        ),
-        ("lb1", LsqConfig::with_techniques(1)),
-        ("seg", LsqConfig::segmented(SegAlloc::SelfCircular)),
-    ]
-}
-
 /// The CPI-stack table's column groups: a label and the accounting
 /// components (by [`lsq_pipeline::Component::name`]) folded into it.
 const CPI_GROUPS: &[(&str, &[&str])] = &[
@@ -752,7 +712,7 @@ pub fn cpi_stack(spec: RunSpec) -> Artifact {
         accounting: true,
         ..ProbeSpec::from_env()
     };
-    let cfgs = technique_designs().map(|(_, lsq)| lsq);
+    let cfgs = design_points().map(|(_, lsq)| lsq);
     cpi_stack_from(&run_matrix_on(
         engine::global(),
         &cfgs,
@@ -762,14 +722,14 @@ pub fn cpi_stack(spec: RunSpec) -> Artifact {
     ))
 }
 
-/// The CPI-stack table of `rows`, the [`technique_designs`] matrix run
+/// The CPI-stack table of `rows`, the [`design_points`] matrix run
 /// with the accountant attached.
 fn cpi_stack_from(rows: &[(&'static str, Vec<SimResult>)]) -> Artifact {
     let mut header = vec!["bench", "design", "cpi"];
     header.extend(CPI_GROUPS.iter().map(|(label, _)| *label));
     let mut t = Table::new(header);
     for (name, r) in rows {
-        for ((design, _), res) in technique_designs().iter().zip(r) {
+        for ((design, _), res) in design_points().iter().zip(r) {
             let stack = res
                 .cpi_stack
                 .as_ref()
@@ -855,7 +815,7 @@ pub fn critical_path(spec: RunSpec) -> Artifact {
     let tasks: Vec<_> = BenchProfile::all()
         .iter()
         .flat_map(|p| {
-            technique_designs().map(|(design, lsq)| {
+            design_points().map(|(design, lsq)| {
                 let job = Job {
                     bench: p.name,
                     lsq,
@@ -914,76 +874,79 @@ pub fn critical_path(spec: RunSpec) -> Artifact {
     }
 }
 
-/// Every artifact name accepted by [`by_name`], in paper order — the
-/// menu printed by `cargo run -p lsq-experiments --bin artifact`.
-pub const ARTIFACT_NAMES: &[&str] = &[
-    "table1",
-    "table2",
-    "fig6",
-    "fig7",
-    "table3",
-    "fig8",
-    "table4",
-    "fig9",
-    "fig10",
-    "fig11",
-    "table5",
-    "table6",
-    "fig12",
-    "supplementary",
-    "cpi_stack",
-    "critical_path",
-];
-
-/// Runs the single artifact called `name` (one of [`ARTIFACT_NAMES`]);
-/// `None` for an unknown name.
-pub fn by_name(name: &str, spec: RunSpec) -> Option<Artifact> {
-    Some(match name {
-        "table1" => table1(),
-        "table2" => table2(spec),
-        "fig6" => fig6(spec),
-        "fig7" => fig7(spec),
-        "table3" => table3(spec),
-        "fig8" => fig8(spec),
-        "table4" => table4(spec),
-        "fig9" => fig9(spec),
-        "fig10" => fig10(spec),
-        "fig11" => fig11(spec),
-        "table5" => table5(spec),
-        "table6" => table6(spec),
-        "fig12" => fig12(spec),
-        "supplementary" => supplementary_ssit_pressure(spec),
-        "cpi_stack" => cpi_stack(spec),
-        "critical_path" => critical_path(spec),
-        _ => return None,
-    })
+/// One reproduced artifact: the name it is requested by, the function
+/// that reproduces it, and whether [`all`] runs it.
+#[derive(Debug, Clone, Copy)]
+pub struct ArtifactEntry {
+    /// The name `artifact <name>` and [`by_name`] accept.
+    pub name: &'static str,
+    /// Reproduces the artifact at a budget.
+    pub(crate) run: fn(RunSpec) -> Artifact,
+    /// Whether [`all`] runs it.
+    pub(crate) in_all: bool,
 }
 
-/// Runs every paper artifact in paper order. The two supplementary
-/// observer tables are excluded; request them by name. `cpi_stack` runs
-/// its matrix again with the cycle accountant attached, and the cache
-/// keys on the accountant, so none of the other artifacts' results
-/// would serve it. `critical_path`'s runs bypass the cache entirely
-/// (lifecycle records don't travel through cached [`SimResult`]s).
-/// Either would only pad `all()`'s runtime.
+impl ArtifactEntry {
+    const fn paper(name: &'static str, run: fn(RunSpec) -> Artifact) -> Self {
+        Self {
+            name,
+            run,
+            in_all: true,
+        }
+    }
+
+    const fn by_name_only(name: &'static str, run: fn(RunSpec) -> Artifact) -> Self {
+        Self {
+            name,
+            run,
+            in_all: false,
+        }
+    }
+}
+
+/// Every artifact, in paper order. [`all`] runs the paper's tables and
+/// figures and the supplementary SSIT-pressure table, in this order (the
+/// benchmark's golden digests cover its output). `cpi_stack` and
+/// `critical_path` run by name only: no other artifact's cached result
+/// serves their accounted or recorded runs, so in `all()` they would only
+/// add runtime.
+pub const ARTIFACTS: &[ArtifactEntry] = &[
+    ArtifactEntry::paper("table1", |_| table1()),
+    ArtifactEntry::paper("table2", table2),
+    ArtifactEntry::paper("fig6", fig6),
+    ArtifactEntry::paper("fig7", fig7),
+    ArtifactEntry::paper("table3", table3),
+    ArtifactEntry::paper("fig8", fig8),
+    ArtifactEntry::paper("table4", table4),
+    ArtifactEntry::paper("fig9", fig9),
+    ArtifactEntry::paper("fig10", fig10),
+    ArtifactEntry::paper("fig11", fig11),
+    ArtifactEntry::paper("table5", table5),
+    ArtifactEntry::paper("table6", table6),
+    ArtifactEntry::paper("fig12", fig12),
+    ArtifactEntry::paper("supplementary", supplementary_ssit_pressure),
+    ArtifactEntry::by_name_only("cpi_stack", cpi_stack),
+    ArtifactEntry::by_name_only("critical_path", critical_path),
+];
+
+/// The entry of [`ARTIFACTS`] called `name`.
+fn entry(name: &str) -> Option<&'static ArtifactEntry> {
+    ARTIFACTS.iter().find(|e| e.name == name)
+}
+
+/// Runs the artifact of [`ARTIFACTS`] called `name`; `None` for an
+/// unknown name.
+pub fn by_name(name: &str, spec: RunSpec) -> Option<Artifact> {
+    entry(name).map(|e| (e.run)(spec))
+}
+
+/// Runs every [`ARTIFACTS`] entry marked for it, in paper order.
 pub fn all(spec: RunSpec) -> Vec<Artifact> {
-    let predictor_rows = predictor_matrix(spec);
-    vec![
-        table1(),
-        table2(spec),
-        fig6_from(&predictor_rows),
-        fig7_from(&predictor_rows),
-        table3(spec),
-        fig8(spec),
-        table4(spec),
-        fig9(spec),
-        fig10(spec),
-        fig11(spec),
-        table5(spec),
-        table6(spec),
-        fig12(spec),
-        supplementary_ssit_pressure(spec),
-    ]
+    ARTIFACTS
+        .iter()
+        .filter(|e| e.in_all)
+        .map(|e| (e.run)(spec))
+        .collect()
 }
 
 #[cfg(test)]
@@ -997,15 +960,96 @@ mod tests {
     };
 
     #[test]
-    fn by_name_covers_every_artifact_name() {
-        assert_eq!(ARTIFACT_NAMES.len(), 16);
+    fn the_artifact_table_names_each_artifact_once() {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|e| e.name).collect();
+        for (i, n) in names.iter().enumerate() {
+            assert!(!names[..i].contains(n), "{n} is declared twice");
+        }
+        // by_name resolves exactly the table's names.
+        for n in &names {
+            assert_eq!(entry(n).map(|e| e.name), Some(*n));
+        }
+        assert!(entry("nonesuch").is_none());
         assert!(by_name("nonesuch", TINY).is_none());
-        let a = by_name("table1", TINY).expect("table1 exists");
-        assert_eq!(a.id, "Table 1");
-        let a = by_name("table3", TINY).expect("table3 exists");
-        assert_eq!(a.id, "Table 3");
-        let a = by_name("fig8", TINY).expect("fig8 exists");
-        assert_eq!(a.id, "Figure 8");
+        assert_eq!(by_name("table1", TINY).map(|a| a.id), Some("Table 1"));
+        // all()'s order is pinned by the benchmark's golden digests.
+        let in_all: Vec<&str> = ARTIFACTS
+            .iter()
+            .filter(|e| e.in_all)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(
+            in_all,
+            [
+                "table1",
+                "table2",
+                "fig6",
+                "fig7",
+                "table3",
+                "fig8",
+                "table4",
+                "fig9",
+                "fig10",
+                "fig11",
+                "table5",
+                "table6",
+                "fig12",
+                "supplementary"
+            ]
+        );
+        assert_eq!(names.len(), in_all.len() + 2, "cpi_stack, critical_path");
+    }
+
+    /// Each cell is `fmt2(value(r[i], r[0]))`, and each column's series
+    /// holds the same values in row order.
+    #[test]
+    fn columns_compare_each_design_point_against_the_first() {
+        let spec = RunSpec {
+            warmup: 0,
+            instrs: 100,
+            seed: 1,
+        };
+        let template = crate::runner::run_design_point("gzip", LsqConfig::default(), false, spec);
+        let result = |cycles: u64, sq_searches: u64| {
+            let mut r = template.clone();
+            (r.cycles, r.committed, r.lsq.sq_searches) = (cycles, 1_000, sq_searches);
+            r
+        };
+        let rows = [
+            (
+                "gzip",
+                vec![result(1_000, 400), result(800, 100), result(1_250, 0)],
+            ),
+            (
+                "swim",
+                vec![result(2_000, 0), result(1_000, 3), result(3_000, 1)],
+            ),
+        ];
+        let (t, series) = columns(vec!["bench", "a", "b"], &rows, |r, base| {
+            r.lsq.sq_searches as f64 / base.lsq.sq_searches.max(1) as f64
+        });
+        assert_eq!(
+            series,
+            [
+                vec![("gzip", 0.25), ("swim", 3.0)],
+                vec![("gzip", 0.0), ("swim", 1.0)]
+            ]
+        );
+        let cells: Vec<Vec<String>> = t
+            .to_string()
+            .lines()
+            .skip(2)
+            .map(|l| l.split_whitespace().map(str::to_string).collect())
+            .collect();
+        assert_eq!(cells, [["gzip", "0.25", "0.00"], ["swim", "3.00", "1.00"]]);
+        let (_, speedup) = columns(vec!["bench", "a", "b"], &rows, SimResult::speedup_over);
+        assert_eq!(
+            speedup,
+            [
+                vec![("gzip", 1.25), ("swim", 2.0)],
+                vec![("gzip", 0.8), ("swim", 2.0 / 3.0)]
+            ]
+        );
     }
 
     /// `table2` runs the baseline unobserved; `cpi_stack` after it must
@@ -1022,7 +1066,7 @@ mod tests {
         };
         let _ = by_name("table2", spec).expect("table2 exists");
         let after = by_name("cpi_stack", spec).expect("cpi_stack exists");
-        let cfgs = technique_designs().map(|(_, lsq)| lsq);
+        let cfgs = design_points().map(|(_, lsq)| lsq);
         let accounted = ProbeSpec {
             accounting: true,
             ..ProbeSpec::from_env()

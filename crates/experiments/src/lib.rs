@@ -8,11 +8,11 @@
 //! shaped like the paper's, so EXPERIMENTS.md can record paper-vs-measured
 //! side by side.
 //!
-//! Run a single artifact with `cargo run --release -p lsq-experiments
-//! --bin artifact -- fig10` (see [`experiments::ARTIFACT_NAMES`] for the
-//! menu), or everything with `--bin all`. The instruction budget per run
-//! is controlled by the `LSQ_INSTRS` environment variable (default
-//! 250,000 after a 100,000-instruction warm-up).
+//! Each artifact is declared once, in [`ARTIFACTS`]. Run one with
+//! `cargo run --release -p lsq-experiments --bin artifact -- fig10`, or
+//! every artifact of [`all`] with `artifact all`. The instruction budget
+//! per run is controlled by the `LSQ_INSTRS` environment variable
+//! (default 250,000 after a 100,000-instruction warm-up).
 //!
 //! All runs flow through the shared [`engine`]: a work-stealing pool
 //! (`LSQ_JOBS` workers) with a result cache, so design points shared
@@ -47,5 +47,5 @@ pub mod runner;
 pub mod telemetry;
 
 pub use engine::{worker_count, Engine, Job};
-pub use experiments::{all, by_name, Artifact, ARTIFACT_NAMES};
+pub use experiments::{all, by_name, Artifact, ARTIFACTS};
 pub use runner::{run_design_point, run_observed, RunSpec};

@@ -196,20 +196,6 @@ fn warn_on_trace_drops(bench: &str, buf: &TraceBuffer) {
     }
 }
 
-/// Runs a design point for every benchmark, in parallel, returning
-/// `(name, result)` pairs in Table 2 order.
-pub fn run_all_benchmarks(
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
-) -> Vec<(&'static str, SimResult)> {
-    run_matrix(&[lsq], scaled, spec)
-        .into_iter()
-        // lsq-lint: allow(no-unwrap-in-lib, reason = "run_matrix ran exactly one config per benchmark in this sweep")
-        .map(|(name, mut row)| (name, row.pop().expect("one config")))
-        .collect()
-}
-
 /// Runs several design points for every benchmark through the engine's
 /// work-stealing pool. Returns one row per benchmark (Table 2 order),
 /// each with one result per design point (input order).

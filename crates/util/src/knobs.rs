@@ -46,12 +46,6 @@ pub const REGISTRY: &[Knob] = &[
         doc: "Dump one JSON record per submitted engine job to this path.",
     },
     Knob {
-        name: "LSQ_EXPERIMENTS_OUT",
-        kind: "path",
-        default: "unset",
-        doc: "`--bin all` also writes its rendered artifact output to this file.",
-    },
-    Knob {
         name: "LSQ_INSTRS",
         kind: "int",
         default: "250000",

@@ -5,7 +5,8 @@
 //! 10,000 instructions must make exactly as many allocations as a run
 //! of none, which only builds the `SimResult`.
 
-use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
+use lsq::core::LsqConfig;
+use lsq::experiments::experiments::design_points as standard_points;
 use lsq::pipeline::{SimConfig, Simulator};
 use lsq::trace::BenchProfile;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -59,32 +60,27 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, COUNT.with(|c| c.replace(None)).unwrap_or(0))
 }
 
+/// The four standard design points, the Figure 12 point and the two
+/// squash sources besides memory order.
 fn design_points() -> Vec<(&'static str, SimConfig)> {
-    let pair = LsqConfig {
-        predictor: PredictorKind::Pair,
-        ..LsqConfig::default()
-    };
     let load_load = LsqConfig {
         load_load_squash: true,
         ..LsqConfig::default()
     };
     let mut invalidating = SimConfig::with_lsq(LsqConfig::default());
     invalidating.invalidation_rate = 0.01;
-    vec![
-        ("conventional2", SimConfig::with_lsq(LsqConfig::default())),
-        ("pair", SimConfig::with_lsq(pair)),
-        ("lb1", SimConfig::with_lsq(LsqConfig::with_techniques(1))),
-        (
-            "segmented",
-            SimConfig::with_lsq(LsqConfig::segmented(SegAlloc::SelfCircular)),
-        ),
-        (
-            "all_techniques_one_port",
-            SimConfig::with_lsq(LsqConfig::all_techniques_one_port()),
-        ),
-        ("load_load_squash", SimConfig::with_lsq(load_load)),
-        ("invalidation", invalidating),
-    ]
+    standard_points()
+        .map(|(label, lsq)| (label, SimConfig::with_lsq(lsq)))
+        .into_iter()
+        .chain([
+            (
+                "all_techniques_one_port",
+                SimConfig::with_lsq(LsqConfig::all_techniques_one_port()),
+            ),
+            ("load_load_squash", SimConfig::with_lsq(load_load)),
+            ("invalidation", invalidating),
+        ])
+        .collect()
 }
 
 /// `gzip` and `mcf` as in the scheduler tests, plus `bzip`, whose

@@ -20,7 +20,8 @@
 //! stress every issue path: forwarding, squashes (memory-order,
 //! load-load and invalidation), the load buffer, and segmented search.
 
-use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
+use lsq::core::LsqConfig;
+use lsq::experiments::experiments::design_points as standard_points;
 use lsq::pipeline::{
     CpiStack, NopProbe, PipeviewRecorder, Probe, ProbeSet, SimConfig, SimResult, Simulator,
 };
@@ -61,20 +62,12 @@ fn recorder() -> ProbeSet {
     }
 }
 
+/// The four standard design points on the base processor.
 fn design_points() -> Vec<(&'static str, SimConfig)> {
-    let pair = LsqConfig {
-        predictor: PredictorKind::Pair,
-        ..LsqConfig::default()
-    };
-    [
-        ("conventional2", LsqConfig::default()),
-        ("pair", pair),
-        ("lb1", LsqConfig::with_techniques(1)),
-        ("segmented", LsqConfig::segmented(SegAlloc::SelfCircular)),
-    ]
-    .into_iter()
-    .map(|(label, lsq)| (label, SimConfig::with_lsq(lsq)))
-    .collect()
+    standard_points()
+        .into_iter()
+        .map(|(label, lsq)| (label, SimConfig::with_lsq(lsq)))
+        .collect()
 }
 
 fn assert_equivalent(bench: &str) {

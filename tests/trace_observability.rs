@@ -4,6 +4,7 @@
 //! IPC sums back to the aggregate, and the per-PC attribution must point
 //! at the offending static instruction.
 
+use lsq::experiments::experiments::design_points;
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
 use lsq::obs::{timeline_csv, Event, Json, MissLevel, Sampler, TraceBuffer, TraceConfig, TIMELINE};
 use lsq::pipeline::{
@@ -198,22 +199,6 @@ fn nop_tracer_interface_is_inert() {
     let buf = TraceBuffer::new();
     assert!(buf.is_empty());
     let _ = Event::LbSearch { load: 1 };
-}
-
-/// The four design points of the benchmark matrix.
-fn design_points() -> [(&'static str, LsqConfig); 4] {
-    [
-        ("conventional2", LsqConfig::default()),
-        (
-            "pair",
-            LsqConfig {
-                predictor: PredictorKind::Pair,
-                ..LsqConfig::default()
-            },
-        ),
-        ("lb1", LsqConfig::with_techniques(1)),
-        ("segmented", LsqConfig::segmented(SegAlloc::SelfCircular)),
-    ]
 }
 
 /// Runs `bench` on design point `lsq` for `n` instructions with `probe`
