@@ -743,6 +743,30 @@ impl Lsq {
         })
     }
 
+    /// Counts `n` more [`LoadIssue::WaitStore`] refusals, as that many
+    /// [`Self::load_issue`] calls refused that way would.
+    pub fn count_store_set_waits(&mut self, n: u64) {
+        self.stats.store_set_waits += n;
+    }
+
+    /// Counts `n` more refusals by the load-order policy, as that many
+    /// [`Self::load_issue`] calls would: [`LoadIssue::InOrderStall`]
+    /// under an in-order policy, [`LoadIssue::LbFull`] under a load
+    /// buffer.
+    pub fn count_load_order_stalls(&mut self, n: u64) {
+        if self.cfg.load_order.in_order() {
+            self.stats.in_order_stalls += n;
+        } else {
+            self.stats.lb_full_stalls += n;
+        }
+    }
+
+    /// Whether no store-queue search port is booked for this cycle or a
+    /// later one.
+    pub fn sq_ports_idle(&self) -> bool {
+        self.sq_ports.idle()
+    }
+
     /// Attempts to execute store `seq` (address generation) this cycle.
     ///
     /// # Panics

@@ -221,6 +221,12 @@ impl PortBook {
         }
     }
 
+    /// Whether nothing is booked in any row: then every search that fits
+    /// the segment chain can be booked.
+    pub fn idle(&self) -> bool {
+        self.window.iter().flatten().all(|&n| n == 0)
+    }
+
     /// Ports still free in `segment` this cycle.
     pub fn free_now(&self, segment: usize) -> usize {
         self.ports - self.window[0][segment]
@@ -497,11 +503,14 @@ mod tests {
             // A search books at most `segments` cycles ahead, so after
             // that many cycles every port is free again.
             let mut b = PortBook::new(2, 1);
+            assert!(b.idle());
             assert!(b.try_book(&[0]));
             assert!(b.try_book(&[1, 0]));
             b.begin_cycle();
             assert_eq!(b.free_now(0), 0, "[1, 0] holds segment 0 a cycle later");
+            assert!(!b.idle());
             b.begin_cycle();
+            assert!(b.idle());
             assert!(b.try_book(&[0]));
             assert!(b.try_book(&[1, 0]));
         }

@@ -13,7 +13,8 @@
 //! all 18 Table 2 benchmarks. Every job records the host-side
 //! throughput (`sim_mips`, simulated instructions including warm-up per
 //! wall second) stamped by the experiment engine, and the file carries
-//! the git revision so before/after pairs are self-describing.
+//! the git revision so before/after pairs are self-describing (outside a
+//! git checkout, such as a `git archive` export, name it with `--rev`).
 //!
 //! Flags (all optional):
 //!
@@ -21,6 +22,8 @@
 //! * `--instrs <n>`     measured instructions per job (default 250000)
 //! * `--warmup <n>`     warm-up instructions per job (default 100000)
 //! * `--seed <n>`       workload seed (default 1)
+//! * `--rev <string>`   revision label written as `git_rev` (default: the
+//!   checkout's `git rev-parse HEAD`, or `unknown` outside one)
 //!
 //! Single-process wall-clock measurement: pin `LSQ_JOBS=1` for the
 //! least noisy numbers, and interleave before/after binaries when
@@ -44,7 +47,8 @@ fn git_rev() -> String {
 
 fn usage(msg: &str) -> ! {
     eprintln!(
-        "error: {msg}\n\nusage: bench [--out <path>] [--instrs <n>] [--warmup <n>] [--seed <n>]"
+        "error: {msg}\n\nusage: bench [--out <path>] [--instrs <n>] [--warmup <n>] [--seed <n>] \
+         [--rev <string>]"
     );
     std::process::exit(2);
 }
@@ -52,6 +56,7 @@ fn usage(msg: &str) -> ! {
 fn main() {
     let mut out = String::from("BENCH_sim.json");
     let mut spec = RunSpec::default();
+    let mut rev = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // Every flag takes a value.
     for pair in argv.chunks(2) {
@@ -71,6 +76,7 @@ fn main() {
             "--instrs" => spec.instrs = number(),
             "--warmup" => spec.warmup = number(),
             "--seed" => spec.seed = number(),
+            "--rev" => rev = Some(value().to_string()),
             other => usage(&format!("unknown flag {other}")),
         }
     }
@@ -99,7 +105,7 @@ fn main() {
     let geomean = lsq_stats::geomean(&mips).unwrap_or(0.0);
 
     let doc = Json::obj(vec![
-        ("git_rev", Json::from(git_rev())),
+        ("git_rev", Json::from(rev.unwrap_or_else(git_rev))),
         ("instrs", spec.instrs.into()),
         ("warmup", spec.warmup.into()),
         ("seed", spec.seed.into()),

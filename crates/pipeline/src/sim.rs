@@ -14,8 +14,20 @@
 //!   penalty of commit-time detection under the pair predictor;
 //! * **fetch stalls** on branch mispredictions (hybrid GAg/PAg) and
 //!   i-cache misses;
-//! * **speculative vs. late wakeup** of load dependents under segmented,
+//! * **early vs. late wakeup** of load dependents under segmented,
 //!   variable-latency forwarding searches.
+//!
+//! A load's latency is known when it issues (the cache is probed then),
+//! so nothing is speculated or replayed: dependents of a load in the
+//! LQ's head segment whose search stays in one segment wake when its
+//! data arrives, all others `late_wakeup_penalty` cycles later.
+//!
+//! Loads refused for a reason that holds until a known event (a
+//! predicted store's issue, or a load issue or squash for the in-order
+//! and load-buffer refusals) are parked in the issue scheduler: select
+//! still counts their refusals in age order, but without retrying them,
+//! and cycles in which only parked loads wait are jumped, their
+//! refusals counted in bulk (DESIGN.md §4).
 //!
 //! Wrong-path instructions are modeled as fetch bubbles (trace-driven
 //! simplification); store-to-load forwarding and violation detection use
@@ -27,7 +39,7 @@ use crate::config::SimConfig;
 use crate::probe::{LsqOp, LsqSearch, NopProbe, Probe};
 use crate::profile::Phase;
 use crate::result::SimResult;
-use crate::sched::{age_order, Scheduler};
+use crate::sched::{age_order, Park, Scheduler};
 use lsq_core::{LoadIssue, Lsq, StoreDrain, StoreIssue};
 use lsq_isa::{Addr, InstrKind, Instruction, InstructionStream, Pc};
 use lsq_mem::{Access, MemoryHierarchy};
@@ -227,7 +239,8 @@ impl<P: Probe> Simulator<P> {
 
     /// Switches to the reference polling scheduler: select re-checks
     /// every waiting entry's dependences against the ROB each cycle, as
-    /// the original scan did, and the clock never jumps idle cycles.
+    /// the original scan did, a refused load is retried in full every
+    /// cycle instead of parked, and the clock never jumps idle cycles.
     /// Architecturally identical, slower — exists so equivalence tests
     /// can compare both paths (debug builds assert every cycle that the
     /// polled set is the event-driven ready mask). Must be called before
@@ -543,8 +556,23 @@ impl<P: Probe> Simulator<P> {
         }
         let skipped = to - self.cycle;
         self.cycle = to;
-        self.lsq.advance(skipped);
         self.sample(skipped);
+        // Select would find every parked load refused again in each
+        // skipped cycle, nothing having issued. A load-buffer retry's
+        // store-queue port checks can change only while bookings made
+        // before the jump last (at most one segment chain of cycles):
+        // those cycles are retried one by one, the rest counted in bulk.
+        let (on_store, on_order) = self.sched.parked_counts();
+        let lb_full = on_order > 0 && !self.cfg.lsq.load_order.in_order();
+        let mut left = skipped;
+        while left > 0 && lb_full && !self.lsq.sq_ports_idle() {
+            self.lsq.advance(1);
+            self.retry_all_parked();
+            left -= 1;
+        }
+        self.lsq.advance(left);
+        self.lsq.count_store_set_waits(on_store * left);
+        self.lsq.count_load_order_stalls(on_order * left);
     }
 
     /// Injects external coherence invalidations (§2.2 scheme 2): with the
@@ -697,8 +725,7 @@ impl<P: Probe> Simulator<P> {
     ) -> Option<Issued> {
         match instr.kind {
             InstrKind::Load => {
-                if self.dcache_used >= self.cfg.dcache_ports {
-                    self.record_head_stall(seq, Component::DcachePort);
+                if !self.dcache_port_free(seq) {
                     return None;
                 }
                 match self.timed(Phase::LsqSearch, |s| s.lsq.load_issue(seq)) {
@@ -746,13 +773,10 @@ impl<P: Probe> Simulator<P> {
                             },
                         })
                     }
-                    stall => {
-                        if self.probe.enabled() {
-                            let c = match stall {
-                                LoadIssue::NoSqPort | LoadIssue::NoLqPort => Component::SearchPort,
-                                _ => Component::MemOrdering,
-                            };
-                            self.record_head_stall(seq, c);
+                    refused => {
+                        self.record_refusal(seq, refused);
+                        if !self.reference {
+                            self.park(seq, refused);
                         }
                         None
                     }
@@ -794,15 +818,93 @@ impl<P: Probe> Simulator<P> {
         }
     }
 
-    /// One select pass over a snapshot of the candidates, oldest first,
-    /// until `issue_width` have issued or one requests a squash. No issue
-    /// makes another entry ready in the same cycle (every latency is at
-    /// least one cycle), so the snapshot is what a program-order scan sees.
+    /// Whether a d-cache port is left this cycle for load `seq`.
+    // lsq-lint: hot
+    fn dcache_port_free(&mut self, seq: u64) -> bool {
+        let free = self.dcache_used < self.cfg.dcache_ports;
+        if !free {
+            self.record_head_stall(seq, Component::DcachePort);
+        }
+        free
+    }
+
+    /// Records the resource `Lsq` refused load `seq` for.
+    // lsq-lint: hot
+    fn record_refusal(&mut self, seq: u64, refused: LoadIssue) {
+        let c = match refused {
+            LoadIssue::NoSqPort | LoadIssue::NoLqPort => Component::SearchPort,
+            _ => Component::MemOrdering,
+        };
+        self.record_head_stall(seq, c);
+    }
+
+    /// Parks load `seq` if `refused` holds until a known event: a
+    /// predicted store's issue, or for the in-order and load-buffer
+    /// refusals the next load issue or squash. Port refusals can change
+    /// any cycle, so such a load stays ready.
+    fn park(&mut self, seq: u64, refused: LoadIssue) {
+        let on = match refused {
+            LoadIssue::WaitStore(store) => Park::Store(store),
+            LoadIssue::InOrderStall | LoadIssue::LbFull => Park::LoadOrder,
+            _ => return,
+        };
+        self.sched.park(seq, on);
+    }
+
+    /// Parked load `seq` (parked `on` an event that has not happened)
+    /// meets its refusal again, counted and recorded as a full attempt
+    /// past the unit and d-cache port checks would be. Only a load-buffer
+    /// refusal can come out otherwise, as the store-queue port checks
+    /// precede it: while some SQ port is booked, such a load is attempted
+    /// in full. Any other visit looks the load up in neither the ROB nor
+    /// the LQ.
+    // lsq-lint: hot
+    fn retry_parked(&mut self, seq: u64, on: Park) {
+        let lb_full = on == Park::LoadOrder && !self.cfg.lsq.load_order.in_order();
+        if lb_full && !self.lsq.sq_ports_idle() {
+            let refused = self.timed(Phase::LsqSearch, |s| s.lsq.load_issue(seq));
+            debug_assert!(
+                !matches!(refused, LoadIssue::Issued(_)),
+                "parked load {seq} issued"
+            );
+            self.record_refusal(seq, refused);
+            return;
+        }
+        match on {
+            Park::Store(_) => self.lsq.count_store_set_waits(1),
+            Park::LoadOrder => self.lsq.count_load_order_stalls(1),
+        }
+        self.record_head_stall(seq, Component::MemOrdering);
+    }
+
+    /// Retries every parked load once, as a stepped cycle in which
+    /// nothing issues would.
+    fn retry_all_parked(&mut self) {
+        let mut parked = std::mem::take(&mut self.candidates);
+        parked.copy_from_slice(self.sched.parked_mask());
+        for slot in age_order(&parked, 0) {
+            if let Some(on) = self.sched.parked_on(slot) {
+                self.retry_parked(self.sched.seq_of(slot), on);
+            }
+        }
+        self.candidates = parked;
+    }
+
+    /// One select pass over a snapshot of the candidates, the ready and
+    /// the parked entries, oldest first, until `issue_width` have issued
+    /// or one requests a squash. No issue makes another entry ready in the
+    /// same cycle (every latency is at least one cycle), so the snapshot
+    /// is what a program-order scan sees. An issue can unpark an entry
+    /// the walk has yet to reach, so whether an entry is parked is read
+    /// when the walk gets to it.
     // lsq-lint: hot
     fn issue(&mut self) {
         self.sched.wake(self.cycle);
         let mut candidates = std::mem::take(&mut self.candidates);
-        candidates.copy_from_slice(self.sched.ready_mask());
+        let masks = self.sched.ready_mask().iter().zip(self.sched.parked_mask());
+        for (c, (&ready, &parked)) in candidates.iter_mut().zip(masks) {
+            *c = ready | parked;
+        }
         if self.reference {
             // Poll every waiting entry's producers in the ROB instead (a
             // committed one's result is architectural); the event
@@ -829,10 +931,20 @@ impl<P: Probe> Simulator<P> {
                 break;
             }
             let seq = self.sched.seq_of(slot);
+            if let Some(on) = self.sched.parked_on(slot) {
+                // Parked entries are loads, which use an integer unit.
+                if units[0] == 0 {
+                    self.record_head_stall(seq, Component::ExecLatency);
+                } else if self.dcache_port_free(seq) {
+                    self.retry_parked(seq, on);
+                }
+                continue;
+            }
             // lsq-lint: allow(no-unwrap-in-lib, reason = "the IQ holds only seqs resident in the ROB")
             let instr = self.rob.get(seq).expect("IQ entry in ROB").instr;
             let unit = usize::from(instr.kind.is_fp());
-            // A refused entry keeps its bits: it is tried again next cycle.
+            // An entry refused for a port or unit keeps its ready bit: it
+            // is tried again next cycle.
             if units[unit] == 0 {
                 self.record_head_stall(seq, Component::ExecLatency);
                 continue;
@@ -848,6 +960,9 @@ impl<P: Probe> Simulator<P> {
                 .issue(seq, i.complete_at, i.seg_extra, i.mem_level);
             let wake = i.complete_at + u64::from(i.wakeup_extra);
             self.sched.issue(seq, wake, self.cycle);
+            if instr.kind.is_load() {
+                self.sched.unpark_load_order();
+            }
             if squash_request.is_some() {
                 break;
             }

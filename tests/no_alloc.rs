@@ -3,9 +3,11 @@
 //! built. A counting global allocator, which counts only on the thread
 //! that asked it to, measures `Simulator::run`: a warm run of
 //! 10,000 instructions must make exactly as many allocations as a run
-//! of none, which only builds the `SimResult`.
+//! of none, which only builds the `SimResult`. The runs include loads
+//! parked on predicted stores, a full load buffer and in-order issue, so
+//! parking, unparking and bulk refusal counting are measured too.
 
-use lsq::core::LsqConfig;
+use lsq::core::{LoadOrderPolicy, LsqConfig};
 use lsq::experiments::experiments::design_points as standard_points;
 use lsq::pipeline::{SimConfig, Simulator};
 use lsq::trace::BenchProfile;
@@ -60,8 +62,9 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (r, COUNT.with(|c| c.replace(None)).unwrap_or(0))
 }
 
-/// The four standard design points, the Figure 12 point and the two
-/// squash sources besides memory order.
+/// The four standard design points, the Figure 12 point on both
+/// processors, in-order issue and the two squash sources besides memory
+/// order.
 fn design_points() -> Vec<(&'static str, SimConfig)> {
     let load_load = LsqConfig {
         load_load_squash: true,
@@ -77,6 +80,17 @@ fn design_points() -> Vec<(&'static str, SimConfig)> {
                 "all_techniques_one_port",
                 SimConfig::with_lsq(LsqConfig::all_techniques_one_port()),
             ),
+            (
+                "all_techniques_one_port/scaled",
+                SimConfig::scaled(LsqConfig::all_techniques_one_port()),
+            ),
+            (
+                "in_order",
+                SimConfig::with_lsq(LsqConfig {
+                    load_order: LoadOrderPolicy::InOrderNoSearch,
+                    ..LsqConfig::default()
+                }),
+            ),
             ("load_load_squash", SimConfig::with_lsq(load_load)),
             ("invalidation", invalidating),
         ])
@@ -88,6 +102,8 @@ fn design_points() -> Vec<(&'static str, SimConfig)> {
 #[test]
 fn warm_simulation_loop_does_not_allocate() {
     let (mut load_load_squashes, mut invalidations) = (0, 0);
+    // Refusals of the three parked kinds: store-set, load buffer, in-order.
+    let mut parked = [0; 3];
     for bench in ["gzip", "mcf", "bzip"] {
         for (label, cfg) in design_points() {
             let profile = BenchProfile::named(bench).expect("known benchmark");
@@ -105,8 +121,12 @@ fn warm_simulation_loop_does_not_allocate() {
             );
             load_load_squashes += after.lsq.load_load_violations - before.lsq.load_load_violations;
             invalidations += after.lsq.invalidation_squashes - before.lsq.invalidation_squashes;
+            parked[0] += after.lsq.store_set_waits - before.lsq.store_set_waits;
+            parked[1] += after.lsq.lb_full_stalls - before.lsq.lb_full_stalls;
+            parked[2] += after.lsq.in_order_stalls - before.lsq.in_order_stalls;
         }
     }
+    assert!(parked.iter().all(|&n| n > 0), "parked refusals {parked:?}");
     // Both squash sources were exercised, not just configured.
     assert!(load_load_squashes > 0, "no load-load squash fired");
     assert!(invalidations > 0, "no invalidation squash fired");

@@ -14,13 +14,18 @@
 //! least one cycle, so no instruction becomes ready as a consequence of
 //! a same-cycle issue — the candidate set is fixed when the cycle
 //! starts. Select walks it oldest first, from the ROB head's slot round,
-//! and an entry refused for a resource keeps its ready bit, so it is
+//! and an entry refused for a port or unit keeps its ready bit, so it is
 //! tried again next cycle just as the old scan skipped and revisited it.
-//! These tests pin that equivalence across the design points that
+//! A load refused for a reason that holds until a known event (store-set
+//! gating, a full load buffer, in-order issue) is parked instead: select
+//! still visits it, but only counts the refusal, and jumped cycles count
+//! it in bulk. The reference never parks, so these tests pin parking,
+//! unparking and bulk counting too. They cover the design points that
 //! stress every issue path: forwarding, squashes (memory-order,
-//! load-load and invalidation), the load buffer, and segmented search.
+//! load-load and invalidation), the load buffer, in-order issue, and
+//! segmented search.
 
-use lsq::core::LsqConfig;
+use lsq::core::{LoadOrderPolicy, LsqConfig, SegAlloc, SegConfig};
 use lsq::experiments::experiments::design_points as standard_points;
 use lsq::pipeline::{
     CpiStack, NopProbe, PipeviewRecorder, Probe, ProbeSet, SimConfig, SimResult, Simulator,
@@ -266,6 +271,165 @@ fn art_schedulers_agree() {
 #[test]
 fn ammp_schedulers_agree() {
     assert_equivalent("ammp");
+}
+
+/// Runs `bench` at `points` under both schedulers and asserts that they
+/// agree and that every point refused loads in each way `refusals`
+/// reads, so that parking was exercised, not just configured.
+fn assert_parking_agrees(
+    bench: &str,
+    points: Vec<(&'static str, SimConfig)>,
+    refusals: impl Fn(&SimResult) -> [u64; 2],
+) {
+    let labels: Vec<&str> = points.iter().map(|p| p.0).collect();
+    for (label, r) in labels.iter().zip(assert_agree(bench, points.into_iter())) {
+        let n = refusals(&r);
+        assert!(n.iter().all(|&n| n > 0), "{bench}/{label}: refusals {n:?}");
+    }
+}
+
+/// Loads parked on a full load buffer and on predicted stores, at the
+/// `lb1` point.
+fn lb1() -> Vec<(&'static str, SimConfig)> {
+    vec![("lb1", SimConfig::with_lsq(LsqConfig::with_techniques(1)))]
+}
+
+fn lb_and_store_set(r: &SimResult) -> [u64; 2] {
+    [r.lsq.lb_full_stalls, r.lsq.store_set_waits]
+}
+
+#[test]
+fn gzip_lb1_parking_agrees() {
+    assert_parking_agrees("gzip", lb1(), lb_and_store_set);
+}
+
+#[test]
+fn vpr_lb1_parking_agrees() {
+    assert_parking_agrees("vpr", lb1(), lb_and_store_set);
+}
+
+/// `mcf` at the Figure 12 point, base and scaled: most of its load-buffer
+/// refusals come from loads that search the segmented store queue, whose
+/// port checks run again on every visit and through the first cycles of
+/// a jump.
+#[test]
+fn mcf_figure12_parking_agrees() {
+    let all = LsqConfig::all_techniques_one_port();
+    let points = vec![
+        ("all_techniques_one_port", SimConfig::with_lsq(all)),
+        ("all_techniques_one_port/scaled", SimConfig::scaled(all)),
+    ];
+    assert_parking_agrees("mcf", points, |r| {
+        [r.lsq.lb_full_stalls, r.lsq.sq_port_stalls]
+    });
+}
+
+/// Loads parked on in-order issue, with and without the load-queue
+/// search behind it.
+#[test]
+fn in_order_parking_agrees() {
+    let in_order = |policy| {
+        SimConfig::with_lsq(LsqConfig {
+            load_order: policy,
+            ..LsqConfig::default()
+        })
+    };
+    let points = vec![
+        ("in_order", in_order(LoadOrderPolicy::InOrderNoSearch)),
+        (
+            "in_order_search",
+            in_order(LoadOrderPolicy::InOrderAlwaysSearch),
+        ),
+    ];
+    assert_parking_agrees("gzip", points, |r| {
+        [r.lsq.in_order_stalls, r.lsq.store_set_waits]
+    });
+}
+
+/// Runs `instrs` instructions of `bench` on `lsq` from a cold start (the
+/// windows below are where they first occur, so no warm-up precedes
+/// them) under both schedulers, and asserts that they agree.
+fn assert_cold_agree(bench: &str, lsq: LsqConfig, instrs: u64) {
+    let [event, polling] = [false, true].map(|polling| {
+        let profile = BenchProfile::named(bench).expect("known benchmark");
+        let mut stream = profile.stream(1);
+        let mut sim = Simulator::new(SimConfig::with_lsq(lsq));
+        if polling {
+            sim.set_reference_scheduler();
+        }
+        sim.prewarm(&stream.data_regions(), stream.code_region());
+        sim.run(&mut stream, instrs)
+    });
+    assert_eq!(format!("{event:?}"), format!("{polling:?}"));
+}
+
+/// A parked load-buffer refusal is retried with the store-queue port
+/// checks that precede it, and those can refuse it: with no predictor
+/// every load searches the one-ported no-self-circular queue, and `mcf`
+/// first meets such a refusal about 146k instructions in.
+#[test]
+fn parked_loads_meet_busy_store_queue_ports() {
+    let lsq = LsqConfig {
+        ports: 1,
+        load_order: LoadOrderPolicy::LoadBuffer(2),
+        segmentation: LsqConfig::segmented(SegAlloc::NoSelfCircular).segmentation,
+        ..LsqConfig::default()
+    };
+    assert_cold_agree("mcf", lsq, 150_000);
+}
+
+/// A jump can begin while a search issued just before it still holds
+/// store-queue ports in the cycles it skips. A load parked on the full
+/// load buffer whose search would start in a held segment is refused
+/// `NoSqPort` there, not `LbFull`, so those cycles are retried one by
+/// one instead of counted in bulk. Four 2-entry self-circular segments
+/// make three-segment searches common; with one port and no predictor
+/// every load searches, and `vortex` first meets the case about 5k
+/// instructions in.
+#[test]
+fn jumps_retry_parked_loads_while_store_queue_ports_are_held() {
+    let lsq = LsqConfig {
+        ports: 1,
+        load_order: LoadOrderPolicy::LoadBuffer(2),
+        segmentation: Some(SegConfig {
+            segments: 4,
+            entries_per_segment: 2,
+            alloc: SegAlloc::SelfCircular,
+        }),
+        ..LsqConfig::default()
+    };
+    assert_cold_agree("vortex", lsq, 10_000);
+}
+
+/// A parked load's visit records the same head stall as a full attempt,
+/// so accounted runs (which step every cycle) agree with the reference
+/// on their CPI stacks, at the load-buffer points.
+#[test]
+fn accounted_parking_agrees() {
+    let points = [
+        ("lb1", LsqConfig::with_techniques(1)),
+        (
+            "all_techniques_one_port",
+            LsqConfig::all_techniques_one_port(),
+        ),
+    ];
+    for bench in ["gzip", "mcf"] {
+        for (label, lsq) in points {
+            let cfg = SimConfig::with_lsq(lsq);
+            let event = run(bench, cfg.clone(), false, accountant());
+            let polling = run(bench, cfg, true, accountant());
+            assert!(event.cpi_stack.is_some(), "{bench}/{label}: stack missing");
+            assert!(
+                event.lsq.lb_full_stalls > 0,
+                "{bench}/{label}: no load parked on the load buffer"
+            );
+            assert_eq!(
+                format!("{event:?}"),
+                format!("{polling:?}"),
+                "{bench}/{label}: accounted schedulers diverged"
+            );
+        }
+    }
 }
 
 /// A jump must stop at the cycle cap exactly where stepping stops.
