@@ -7,23 +7,9 @@
 //!     --segmented self-circular --instrs 250000
 //! ```
 //!
-//! Flags (all optional except `--bench`):
+//! `sim --help` prints the flag list below.
 //!
-//! * `--bench <name>`          one of the 18 Table 2 benchmarks (or `all`)
-//! * `--ports <n>`             search ports per queue (default 2)
-//! * `--predictor <kind>`      `none` | `perfect` | `aggressive` | `pair`
-//! * `--load-buffer <n>`       n-entry load buffer (replaces LQ searches)
-//! * `--in-order [search]`     in-order load issue (optionally still searching)
-//! * `--segmented <alloc>`     `self-circular` | `no-self-circular` (4 x 28)
-//! * `--lq <n> --sq <n>`       unsegmented queue capacities (default 32)
-//! * `--scaled`                the §4.3 12-wide scaled processor
-//! * `--instrs <n>`            measured instructions (default 250000)
-//! * `--warmup <n>`            warm-up instructions (default 100000)
-//! * `--seed <n>`              dynamic workload seed (default 1)
-//! * `--csv`                   machine-readable one-line-per-benchmark output
-//!
-//! Without `--csv`, each benchmark prints `SimResult::render`'s report:
-//! every counter, in titled sections.
+#![doc = include_str!("sim_flags.md")]
 
 use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc};
 use lsq_experiments::{Job, RunSpec};
@@ -39,14 +25,24 @@ struct Args {
     csv: bool,
 }
 
+/// The flag list of the module docs, which `--help` prints.
+const FLAGS: &str = include_str!("sim_flags.md");
+
 fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\nsee the module docs: cargo doc -p lsq-experiments --bin sim");
+    eprintln!("error: {msg}\n\nrun `sim --help` for the flags");
     eprintln!("benchmarks:");
     for p in BenchProfile::all() {
         eprint!(" {}", p.name);
     }
     eprintln!();
     std::process::exit(2);
+}
+
+/// `value` of `flag` as a number, or a usage error.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("{flag} wants a number")))
 }
 
 fn parse_args() -> Args {
@@ -69,11 +65,7 @@ fn parse_args() -> Args {
         i += 1;
         match flag.as_str() {
             "--bench" => bench = Some(next(&mut i)),
-            "--ports" => {
-                lsq.ports = next(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--ports wants a number"))
-            }
+            "--ports" => lsq.ports = number(&flag, next(&mut i)),
             "--predictor" => {
                 lsq.predictor = match next(&mut i).as_str() {
                     "none" => PredictorKind::None,
@@ -84,10 +76,7 @@ fn parse_args() -> Args {
                 }
             }
             "--load-buffer" => {
-                let n = next(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--load-buffer wants a number"));
-                lsq.load_order = LoadOrderPolicy::LoadBuffer(n);
+                lsq.load_order = LoadOrderPolicy::LoadBuffer(number(&flag, next(&mut i)))
             }
             "--in-order" => {
                 // Optional positional modifier: `search` keeps the search.
@@ -105,33 +94,17 @@ fn parse_args() -> Args {
                     other => usage(&format!("unknown allocation {other}")),
                 }))
             }
-            "--lq" => {
-                lsq.lq_entries = next(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--lq wants a number"))
-            }
-            "--sq" => {
-                lsq.sq_entries = next(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--sq wants a number"))
-            }
+            "--lq" => lsq.lq_entries = number(&flag, next(&mut i)),
+            "--sq" => lsq.sq_entries = number(&flag, next(&mut i)),
             "--scaled" => scaled = true,
-            "--instrs" => {
-                spec.instrs = next(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--instrs wants a number"))
-            }
-            "--warmup" => {
-                spec.warmup = next(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--warmup wants a number"))
-            }
-            "--seed" => {
-                spec.seed = next(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| usage("--seed wants a number"))
-            }
+            "--instrs" => spec.instrs = number(&flag, next(&mut i)),
+            "--warmup" => spec.warmup = number(&flag, next(&mut i)),
+            "--seed" => spec.seed = number(&flag, next(&mut i)),
             "--csv" => csv = true,
+            "--help" | "-h" => {
+                print!("usage: sim --bench <name> [flags]\n\n{FLAGS}");
+                std::process::exit(0);
+            }
             other => usage(&format!("unknown flag {other}")),
         }
     }

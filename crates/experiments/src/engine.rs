@@ -51,7 +51,9 @@ use crate::runner::RunSpec;
 use crate::telemetry;
 use lsq_core::LsqConfig;
 use lsq_obs::Json;
-use lsq_pipeline::{CpiStack, PhaseProfile, ProbeSpec, SimConfig, SimResult, StageLatency};
+use lsq_pipeline::{
+    CpiStack, CriticalPath, PhaseProfile, ProbeSpec, SimConfig, SimResult, StageLatency,
+};
 use lsq_util::sync::MutexExt;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IsTerminal, Write};
@@ -78,9 +80,9 @@ pub struct Job {
 /// derived from) is hashed, so two jobs collide only if the simulator
 /// would be configured identically. `reports` records whether the phase
 /// timer, the cycle accountant and the lifecycle recorder ran, since
-/// they fill [`SimResult::profile`], [`SimResult::cpi_stack`] and
-/// [`SimResult::stage_latency`]: a cached result never answers a batch
-/// that asked for a report it lacks.
+/// they fill [`SimResult::profile`], [`SimResult::cpi_stack`], and
+/// [`SimResult::stage_latency`] with [`SimResult::critical_path`]: a
+/// cached result never answers a batch that asked for a report it lacks.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct JobKey {
     bench: &'static str,
@@ -105,11 +107,7 @@ impl Job {
             bench: self.bench,
             sim: self.config(),
             spec: self.spec,
-            reports: [
-                observers.profile,
-                observers.accounting,
-                observers.pipeview.is_some(),
-            ],
+            reports: [observers.profile, observers.accounting, observers.lifecycle],
         }
     }
 }
@@ -192,6 +190,12 @@ impl JobRecord {
                 r.stage_latency
                     .as_ref()
                     .map_or(Json::Null, StageLatency::to_json),
+            ),
+            (
+                "critical_path",
+                r.critical_path
+                    .as_ref()
+                    .map_or(Json::Null, CriticalPath::to_json),
             ),
         ])
     }
@@ -413,8 +417,8 @@ impl Engine {
 /// Runs arbitrary closures on the engine's work-stealing scheduler,
 /// returning their results in input order. Honors `LSQ_JOBS` like
 /// [`Engine::run_batch`] but bypasses the result cache (the tasks are
-/// opaque). Used by workloads that are not design-point runs, e.g. the
-/// `calibrate` seed scan.
+/// opaque). For work that is not a design-point run: the `calibrate`
+/// seed scan and the telemetry tests' worker pool.
 pub fn run_tasks<T, F>(tasks: Vec<F>) -> Vec<T>
 where
     T: Send,
@@ -683,6 +687,23 @@ mod tests {
             ..first[0].clone()
         };
         assert_same_counters(&plain[0], &unstacked);
+        // The same holds for the lifecycle recorder's critical path,
+        // which the dump records.
+        let recorded = ProbeSpec {
+            lifecycle: true,
+            ..ProbeSpec::default()
+        };
+        let first = engine.run_observed(&[job("gzip")], Some(1), &recorded);
+        let again = engine.run_observed(&[job("gzip")], Some(1), &recorded);
+        assert!(plain[0].critical_path.is_none());
+        let cp = first[0].critical_path.expect("the recorder ran afresh");
+        assert_eq!(cp.total(), cp.length);
+        assert_eq!(again[0].critical_path, Some(cp));
+        assert_eq!(engine.stats(), (2, 3), "only the repeats were cached");
+        let records = engine.records.lock_unpoisoned();
+        let dumped = records[3].to_json();
+        let length = dumped.get("critical_path").and_then(|c| c.get("length"));
+        assert_eq!(length.and_then(Json::as_u64), Some(cp.length));
     }
 
     #[test]
@@ -742,6 +763,7 @@ mod tests {
             matches!(records[0].get("stage_latency"), Some(Json::Null)),
             "stage_latency field present but null without LSQ_PIPEVIEW"
         );
+        assert!(matches!(records[0].get("critical_path"), Some(Json::Null)));
     }
 
     /// Jobs that differ in any one `LsqConfig` field are told apart by

@@ -6,12 +6,10 @@
 //! side. The experiment binaries print artifacts; the integration tests
 //! re-run them with tiny instruction budgets and assert the shapes.
 
-use crate::engine::{self, Job};
-use crate::runner::{int_fp_means, run_matrix, run_matrix_on, simulate, RunSpec};
+use crate::engine;
+use crate::runner::{int_fp_means, run_matrix, run_matrix_on, RunSpec};
 use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc};
-use lsq_pipeline::{
-    CriticalPath, PipeviewRecorder, ProbeSet, ProbeSpec, SimConfig, SimResult, CP_COMPONENTS,
-};
+use lsq_pipeline::{ProbeSpec, SimConfig, SimResult, CP_COMPONENTS};
 use lsq_stats::Table;
 use lsq_trace::BenchProfile;
 
@@ -779,30 +777,6 @@ fn cpi_stack_from(rows: &[(&'static str, Vec<SimResult>)]) -> Artifact {
 // Critical path — longest dependency chain per design point
 // ----------------------------------------------------------------------
 
-/// Runs one job with a lifecycle recorder attached and analyzes the
-/// critical path over the measured window. Returns `None` when no
-/// committed instruction was recorded.
-fn critical_path_for(job: &Job) -> Option<CriticalPath> {
-    // Hold the whole measured window so the chain walk never hits an
-    // evicted producer mid-window.
-    let cap = usize::try_from(job.spec.instrs)
-        .unwrap_or(usize::MAX)
-        .max(4096);
-    let probe = ProbeSet {
-        life: Some(PipeviewRecorder::new(cap)),
-        ..ProbeSet::default()
-    };
-    let (measured, probe) = simulate(job, probe);
-    // The probe saw every cycle, so its last cycle ends the run and the
-    // warm-up ended `measured.cycles` before it. A record finishes in
-    // the cycle its instruction commits or squashes, so the warm-up's
-    // records end at or before that boundary.
-    let boundary = probe.cycle - measured.cycles;
-    let mut records = probe.life?.take_records();
-    records.retain(|r| r.end_cycle().is_some_and(|end| end > boundary));
-    CriticalPath::analyze(&records)
-}
-
 /// Supplementary (not in the paper): the longest producer→consumer
 /// dependency chain of the measured window, per benchmark, for the
 /// 2-ported baseline and the paper's three techniques. Every cycle of
@@ -810,43 +784,39 @@ fn critical_path_for(job: &Job) -> Option<CriticalPath> {
 /// columns of a row sum to 100% of `cycles` — the per-instruction
 /// analogue of the CPI stack's partition invariant.
 pub fn critical_path(spec: RunSpec) -> Artifact {
-    // In-process recorded runs (the lifecycle records do not travel in a
-    // cached result), fanned out on the work-stealing pool.
-    let tasks: Vec<_> = BenchProfile::all()
-        .iter()
-        .flat_map(|p| {
-            design_points().map(|(design, lsq)| {
-                let job = Job {
-                    bench: p.name,
-                    lsq,
-                    scaled: false,
-                    spec,
-                };
-                move || (job.bench, design, critical_path_for(&job))
-            })
-        })
-        .collect();
+    // As for `cpi_stack`: the knobs' other observers still apply, and
+    // the lifecycle recorder is asked for on top of them.
+    let observers = ProbeSpec {
+        lifecycle: true,
+        ..ProbeSpec::from_env()
+    };
+    let cfgs = design_points().map(|(_, lsq)| lsq);
+    let rows = run_matrix_on(engine::global(), &cfgs, false, spec, &observers);
     let mut header = vec!["bench", "design", "cycles", "instrs"];
     header.extend(CP_COMPONENTS);
     let mut t = Table::new(header);
-    for (bench, design, cp) in engine::run_tasks(tasks) {
-        let Some(cp) = cp else { continue };
-        assert_eq!(
-            cp.total(),
-            cp.length,
-            "critical-path components must sum to the chain length"
-        );
-        let mut row = vec![
-            bench.to_string(),
-            design.to_string(),
-            cp.length.to_string(),
-            cp.instructions.to_string(),
-        ];
-        let denom = cp.length.max(1) as f64;
-        for &cycles in &cp.components {
-            row.push(format!("{:.1}%", 100.0 * cycles as f64 / denom));
+    for (bench, r) in &rows {
+        for ((design, _), res) in design_points().iter().zip(r) {
+            let Some(cp) = &res.critical_path else {
+                continue;
+            };
+            assert_eq!(
+                cp.total(),
+                cp.length,
+                "critical-path components must sum to the chain length"
+            );
+            let mut row = vec![
+                bench.to_string(),
+                design.to_string(),
+                cp.length.to_string(),
+                cp.instructions.to_string(),
+            ];
+            let denom = cp.length.max(1) as f64;
+            for &cycles in &cp.components {
+                row.push(format!("{:.1}%", 100.0 * cycles as f64 / denom));
+            }
+            t.row(row);
         }
-        t.row(row);
     }
     Artifact {
         id: "Critical path",

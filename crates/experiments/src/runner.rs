@@ -5,7 +5,7 @@
 //! cache, and batches run on a work-stealing pool sized by
 //! `LSQ_JOBS` / `available_parallelism` (see the engine docs for the
 //! observability knobs). Every design-point run, cached or not, observed
-//! or not, is one [`Simulator::measure`] call made by [`simulate`].
+//! or not, is one [`Simulator::measure`] call made by `simulate`.
 
 use crate::engine::{self, Engine, Job};
 use lsq_core::LsqConfig;
@@ -70,13 +70,13 @@ pub fn run_design_point(bench: &str, lsq: LsqConfig, scaled: bool, spec: RunSpec
 /// The one simulation path: `job`'s processor reporting to `probe`,
 /// caches pre-warmed, measured by [`Simulator::measure`]. Generic over
 /// the probe: the engine runs the unobserved [`NopProbe`] or a
-/// [`ProbeSet`], and recorders that need the whole run (the critical
-/// path's lifecycle records) get their probe back.
+/// [`ProbeSet`], whose recorders come back for [`run_observed`] to
+/// write.
 ///
 /// # Panics
 ///
 /// Panics if `job.bench` is not one of the 18 profile names.
-pub(crate) fn simulate<P: Probe>(job: &Job, probe: P) -> (SimResult, P) {
+fn simulate<P: Probe>(job: &Job, probe: P) -> (SimResult, P) {
     let bench = job.bench;
     // lsq-lint: allow(no-unwrap-in-lib, reason = "documented # Panics contract: bench must be one of the 18 profile names")
     let profile = BenchProfile::named(bench).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
@@ -87,9 +87,9 @@ pub(crate) fn simulate<P: Probe>(job: &Job, probe: P) -> (SimResult, P) {
     (result, sim.into_probe())
 }
 
-/// [`simulate`] with `probe`'s recorders written to its sinks after the
-/// run; the probe comes back with what the sinks did not take (a
-/// recorder with no sink is left in place).
+/// Runs `job` as every engine job runs, reporting to `probe`, then
+/// writes the recorders to their sinks; the probe comes back with what
+/// the sinks did not take (a recorder with no sink is left in place).
 ///
 /// # Panics
 ///

@@ -2,7 +2,7 @@
 
 //! # lsq-obs — observability for the LSQ reproduction
 //!
-//! The simulator's evaluation counters ([`lsq_core::LsqStats`]-style
+//! The simulator's evaluation counters (`lsq_core::LsqStats`-style
 //! end-of-run aggregates) cannot show *when* or *why* a counter moved.
 //! This crate adds the missing audit trail without taxing untraced runs:
 //!

@@ -5,20 +5,22 @@
 //! this module attributes *an instruction's own cycles*. The simulator
 //! stamps every in-flight instruction at fetch, dispatch, issue (which
 //! also fixes the writeback cycle — completion latency is computed at
-//! issue), commit, and squash (with cause). From the finished records
-//! it derives:
+//! issue), commit, and squash (with cause). As each record finishes it
+//! derives:
 //!
 //! * [`PipeRecord`]s rendered as Konata / O3PipeView logs (see
 //!   [`lsq_obs::pipeview`]), bounded by a finished-record ring
 //!   (`LSQ_PIPEVIEW_CAP`) so memory stays flat on long runs — evicted
-//!   records are counted, never silently lost;
+//!   records are counted, never silently lost. A recorder built without
+//!   a ring keeps no finished records;
 //! * [`StageLatency`]: per-stage latency histograms (dispatch→issue,
 //!   issue→memory, SQ-search wait, load-buffer residency) folded into
 //!   [`SimResult`](crate::SimResult) and the experiment records;
 //! * [`CriticalPath`]: the longest producer→consumer dependency chain
-//!   over the recorded lifetimes, with every cycle of the chain
-//!   attributed to exactly one component (the per-instruction analogue
-//!   of the CPI stack's partition invariant).
+//!   among the instructions committed since the last report, tracked at
+//!   commit, with every cycle of the chain attributed to exactly one
+//!   component (the per-instruction analogue of the CPI stack's
+//!   partition invariant).
 //!
 //! A [`PipeviewRecorder`] is the lifecycle recorder of a
 //! [`ProbeSet`](crate::probe::ProbeSet); the simulator stamps it through
@@ -45,7 +47,8 @@ pub const STAGE_NAMES: [&str; 4] = [
     "lb_residency",
 ];
 
-/// Records every instruction's lifetime into a bounded ring.
+/// Records every instruction's lifetime, and tracks the critical path
+/// of the current window as instructions commit.
 ///
 /// Live (in-flight) records sit in a direct-mapped array indexed by
 /// `seq % capacity` — collision-free because the simulator bounds the
@@ -53,8 +56,11 @@ pub const STAGE_NAMES: [&str; 4] = [
 /// records (committed or squashed) move to a ring of
 /// `LSQ_PIPEVIEW_CAP` entries; when it fills, the oldest record is
 /// evicted and counted in [`PipeviewRecorder::dropped`]
-/// (`lsq_pipeview_dropped_total`). Both arrays are preallocated: the
-/// record path never allocates.
+/// (`lsq_pipeview_dropped_total`). Chain tails of committed
+/// instructions sit in a second array mapped like the live one: a
+/// consumer's producers were in flight when it dispatched, so they are
+/// never more than the in-flight window older than it. All arrays are
+/// preallocated: the record path never allocates.
 #[derive(Debug, Clone)]
 pub struct PipeviewRecorder {
     /// In-flight records, direct-mapped by `seq % live.len()`.
@@ -63,23 +69,36 @@ pub struct PipeviewRecorder {
     done: Vec<PipeRecord>,
     /// Index of the oldest entry once the ring has wrapped.
     done_start: usize,
-    /// Ring capacity.
+    /// Ring capacity; zero keeps no ring.
     cap: usize,
     /// Finished records evicted from a full ring.
     dropped: u64,
     stages: StageLatency,
+    /// The chains ending at this window's committed instructions,
+    /// direct-mapped by `seq % chains.len()`.
+    chains: Vec<Option<Chain>>,
+    /// This window's critical path: its chain with the latest
+    /// `(writeback, seq)`.
+    critical: Option<Chain>,
+}
+
+/// The longest chain ending at one committed instruction's writeback.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    /// The instruction the chain ends at.
+    seq: u64,
+    /// Its writeback cycle.
+    writeback: u64,
+    path: CriticalPath,
 }
 
 impl PipeviewRecorder {
     /// Creates a recorder whose finished-record ring holds `capacity`
-    /// records (oldest evicted first). The live array is sized by
+    /// records (oldest evicted first); with a `capacity` of zero it
+    /// keeps no finished records, for runs that write no
+    /// pipeline-viewer log. The live array is sized by
     /// [`PipeviewRecorder::init`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "pipeview ring needs at least one record");
         Self {
             live: Vec::new(),
             done: Vec::with_capacity(capacity),
@@ -87,6 +106,8 @@ impl PipeviewRecorder {
             cap: capacity,
             dropped: 0,
             stages: StageLatency::new(),
+            chains: Vec::new(),
+            critical: None,
         }
     }
 
@@ -105,6 +126,9 @@ impl PipeviewRecorder {
     fn finalize(&mut self, seq: u64) {
         let r = std::mem::replace(self.slot(seq), PipeRecord::vacant());
         debug_assert_eq!(r.seq, seq, "finalizing a slot another seq owns");
+        if self.cap == 0 {
+            return;
+        }
         if self.done.len() < self.cap {
             self.done.push(r);
         } else {
@@ -114,10 +138,12 @@ impl PipeviewRecorder {
         }
     }
 
-    /// Sizes the live array for the maximum number of simultaneously
-    /// in-flight instructions (ROB entries plus the fetch buffer).
+    /// Sizes the live and chain arrays for the maximum number of
+    /// simultaneously in-flight instructions (ROB entries plus the
+    /// fetch buffer).
     pub fn init(&mut self, max_inflight: usize) {
         self.live = vec![PipeRecord::vacant(); max_inflight.max(1)];
+        self.chains = vec![None; max_inflight.max(1)];
     }
 
     /// `seq` entered the frontend at `cycle`.
@@ -173,9 +199,77 @@ impl PipeviewRecorder {
         let slot = self.slot(seq);
         debug_assert_eq!(slot.seq, seq, "commit stamp on an unfetched seq");
         slot.commit = Some(cycle);
-        self.stages
-            .observe(&self.live[(seq % self.live.len() as u64) as usize]);
+        let record = *slot;
+        self.stages.observe(&record);
+        self.extend_chain(&record);
         self.finalize(seq);
+    }
+
+    /// Records the chain ending at the committed `r`: the chain of its
+    /// producer, committed in this window, whose result arrived last
+    /// (the younger seq on a tie), extended by `r`'s link. The link is
+    /// the interval `(producer writeback, r's writeback]`, or
+    /// `(r's fetch, r's writeback]` when no such producer exists, and is
+    /// attributed to components by `r`'s own stage boundaries:
+    ///
+    /// * up to dispatch → `frontend` (fetch starvation, including the
+    ///   gap before the instruction was even fetched);
+    /// * dispatch→issue → `schedule` (scheduler / structural wait after
+    ///   the chain's data was ready);
+    /// * issue→writeback → `exec` for non-loads; for loads the
+    ///   SQ-search extra cycles go to `sq_search` and the rest to
+    ///   `mem_l1` / `mem_l2` / `mem_dram` by the recorded miss level.
+    ///
+    /// The links telescope (each starts where its producer's ended), so
+    /// the component totals sum exactly to the chain length.
+    // lsq-lint: hot
+    fn extend_chain(&mut self, r: &PipeRecord) {
+        let (Some(dispatch), Some(issue), Some(wb)) = (r.dispatch, r.issue, r.writeback) else {
+            return;
+        };
+        let n = self.chains.len() as u64;
+        let parent = r
+            .deps
+            .iter()
+            .flatten()
+            .filter_map(|&d| self.chains[(d % n) as usize].filter(|c| c.seq == d))
+            // Chains must lengthen strictly toward younger completions.
+            .filter(|p| p.writeback < wb)
+            .max_by_key(|p| (p.writeback, p.seq));
+        let (lo, mut path) = parent.map_or((r.fetch, CriticalPath::default()), |p| {
+            (p.writeback, p.path)
+        });
+        let at = |stamp: u64| stamp.max(lo).min(wb);
+        let exec = wb - at(issue);
+        // Loads split execution into the SQ-search extra cycles and their
+        // memory level (`mem_l1` + level); other instructions are `exec`.
+        let (sq, rest) = if r.kind.is_load() {
+            (
+                exec.min(u64::from(r.sq_extra)),
+                4 + usize::from(r.mem_level.min(2)),
+            )
+        } else {
+            (0, 3)
+        };
+        let link = [at(dispatch) - lo, at(issue) - at(dispatch), sq];
+        for (c, cycles) in path.components.iter_mut().zip(link) {
+            *c += cycles;
+        }
+        path.components[rest] += exec - sq;
+        path.length += wb - lo;
+        path.instructions += 1;
+        let chain = Chain {
+            seq: r.seq,
+            writeback: wb,
+            path,
+        };
+        self.chains[(r.seq % n) as usize] = Some(chain);
+        if self
+            .critical
+            .is_none_or(|h| (h.writeback, h.seq) < (wb, r.seq))
+        {
+            self.critical = Some(chain);
+        }
     }
 
     /// Every in-flight instruction in `victim..fetched_through` was
@@ -200,6 +294,15 @@ impl PipeviewRecorder {
         self.stages.clone()
     }
 
+    /// The critical path of the instructions committed since the last
+    /// call (or since the run began), `None` if none committed; starts
+    /// a new window, so no later chain extends one that ended before
+    /// this call.
+    pub fn take_critical_path(&mut self) -> Option<CriticalPath> {
+        self.chains.fill(None);
+        self.critical.take().map(|c| c.path)
+    }
+
     /// Drains the finished-record ring, oldest first.
     pub fn take_records(&mut self) -> Vec<PipeRecord> {
         let mut v = std::mem::take(&mut self.done);
@@ -219,8 +322,7 @@ impl PipeviewRecorder {
 
 /// Per-stage latency histograms over committed instructions. Counters
 /// are cumulative and monotone, so snapshots of one run can be
-/// differenced with [`StageLatency::minus`] (warm-up windowing) and
-/// batches folded with [`StageLatency::merge`].
+/// differenced with [`StageLatency::minus`] (warm-up windowing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageLatency {
     /// Dispatch→issue wait, every committed instruction.
@@ -235,15 +337,9 @@ pub struct StageLatency {
     pub lb_residency: Histogram,
 }
 
-impl Default for StageLatency {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl StageLatency {
     /// Creates empty histograms ([`STAGE_BUCKETS`] buckets each).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             dispatch_to_issue: Histogram::new(STAGE_BUCKETS),
             issue_to_mem: Histogram::new(STAGE_BUCKETS),
@@ -279,19 +375,6 @@ impl StageLatency {
             (STAGE_NAMES[2], &self.sq_search_wait),
             (STAGE_NAMES[3], &self.lb_residency),
         ]
-    }
-
-    /// Total observations across the four histograms.
-    pub fn count(&self) -> u64 {
-        self.stages().iter().map(|(_, h)| h.count()).sum()
-    }
-
-    /// Folds another snapshot into this one.
-    pub fn merge(&mut self, other: &StageLatency) {
-        self.dispatch_to_issue.merge(&other.dispatch_to_issue);
-        self.issue_to_mem.merge(&other.issue_to_mem);
-        self.sq_search_wait.merge(&other.sq_search_wait);
-        self.lb_residency.merge(&other.lb_residency);
     }
 
     /// The stage-wise difference `self − earlier`: the histograms of
@@ -349,10 +432,11 @@ pub const CP_COMPONENTS: [&str; 7] = [
     "mem_dram",
 ];
 
-/// The longest recorded producer→consumer dependency chain, with its
-/// cycles attributed per component. Produced by
-/// [`CriticalPath::analyze`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The longest producer→consumer dependency chain of a window, with
+/// its cycles attributed per component. Tracked at commit by
+/// [`PipeviewRecorder`] (see `extend_chain` there for the attribution)
+/// and reported in [`SimResult::critical_path`](crate::SimResult).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CriticalPath {
     /// Chain length in cycles: head writeback − tail fetch.
     pub length: u64,
@@ -364,96 +448,25 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Walks the recorded lifetimes backwards from the last-completing
-    /// committed instruction, always following the producer whose
-    /// result arrived last, and attributes each link's interval
-    /// `(producer writeback, consumer writeback]` to components by the
-    /// consumer's own stage boundaries:
-    ///
-    /// * up to dispatch → `frontend` (fetch starvation, including the
-    ///   gap before the instruction was even fetched);
-    /// * dispatch→issue → `schedule` (scheduler / structural wait after
-    ///   the chain's data was ready);
-    /// * issue→writeback → `exec` for non-loads; for loads the
-    ///   SQ-search extra cycles go to `sq_search` and the rest to
-    ///   `mem_l1` / `mem_l2` / `mem_dram` by the recorded miss level.
-    ///
-    /// The intervals telescope (each link starts where its producer's
-    /// ended), so the component totals sum exactly to the chain length.
-    /// Returns `None` when `records` holds no committed instruction
-    /// with a full set of stamps.
-    pub fn analyze(records: &[PipeRecord]) -> Option<CriticalPath> {
-        let committed: std::collections::HashMap<u64, &PipeRecord> = records
-            .iter()
-            .filter(|r| {
-                r.is_occupied()
-                    && r.commit.is_some()
-                    && r.dispatch.is_some()
-                    && r.issue.is_some()
-                    && r.writeback.is_some()
-            })
-            .map(|r| (r.seq, r))
-            .collect();
-        let head = committed
-            .values()
-            .max_by_key(|r| (r.writeback, r.seq))
-            .copied()?;
-        let mut components = [0u64; CP_COMPONENTS.len()];
-        let mut instructions = 0usize;
-        let mut node = head;
-        let tail_fetch = loop {
-            instructions += 1;
-            let wb = node.writeback?;
-            let parent = node
-                .deps
-                .iter()
-                .flatten()
-                .filter_map(|d| committed.get(d).copied())
-                // Chains must shorten strictly toward older completions
-                // or the walk would not terminate.
-                .filter(|p| p.writeback.is_some_and(|pw| pw < wb))
-                .max_by_key(|p| (p.writeback, p.seq));
-            let lo = parent.and_then(|p| p.writeback).unwrap_or(node.fetch);
-            let (dispatch, issue) = (node.dispatch?, node.issue?);
-            components[0] += dispatch.max(lo).min(wb) - lo.min(wb); // frontend
-            components[1] += issue.max(lo).min(wb) - dispatch.max(lo).min(wb); // schedule
-            let exec = wb - issue.max(lo).min(wb);
-            if node.kind.is_load() {
-                let sq = exec.min(u64::from(node.sq_extra));
-                components[2] += sq; // sq_search
-                let mem = match node.mem_level {
-                    0 => 4,
-                    1 => 5,
-                    _ => 6,
-                };
-                components[mem] += exec - sq;
-            } else {
-                components[3] += exec; // exec
-            }
-            match parent {
-                Some(p) => node = p,
-                None => break node.fetch,
-            }
-        };
-        Some(CriticalPath {
-            length: head.writeback? - tail_fetch,
-            instructions,
-            components,
-        })
-    }
-
-    /// Cycles attributed to the named component (zero if unknown).
-    pub fn slots(&self, component: &str) -> u64 {
-        CP_COMPONENTS
-            .iter()
-            .position(|&c| c == component)
-            .map_or(0, |i| self.components[i])
-    }
-
     /// Sum of the per-component cycles; equals
     /// [`CriticalPath::length`] by construction.
     pub fn total(&self) -> u64 {
         self.components.iter().sum()
+    }
+
+    /// Serializes as `{"length": n, "instructions": n, "components":
+    /// {"frontend": n, ...}}`, components in [`CP_COMPONENTS`] order.
+    pub fn to_json(&self) -> Json {
+        let components = CP_COMPONENTS
+            .iter()
+            .zip(self.components)
+            .map(|(&name, cycles)| (name, Json::from(cycles)))
+            .collect();
+        Json::obj(vec![
+            ("length", self.length.into()),
+            ("instructions", self.instructions.into()),
+            ("components", Json::obj(components)),
+        ])
     }
 }
 
@@ -520,7 +533,7 @@ mod tests {
             assert_eq!(rec.commit, None);
         }
         // Squashed records never feed the stage histograms.
-        assert_eq!(r.report().count(), 0);
+        assert_eq!(r.report(), StageLatency::new());
         // The seqs are free for reuse after refetch.
         r.fetch(3, 12, &instr(InstrKind::Load, 0x40c, 0x2000));
         r.dispatch(3, 13, [None, None]);
@@ -553,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_latency_merge_minus_and_json_fields() {
+    fn stage_latency_minus_and_json_fields() {
         let mut a = StageLatency::new();
         let mut rec = PipeRecord::vacant();
         rec.seq = 1;
@@ -571,10 +584,9 @@ mod tests {
         a.observe(&rec);
         let diff = a.minus(&before);
         assert_eq!(diff.dispatch_to_issue.count(), 1);
+        assert_eq!(diff.dispatch_to_issue.bucket(3), 1);
         assert_eq!(diff.issue_to_mem.count(), 0, "non-loads skip memory stages");
-        let mut merged = before.clone();
-        merged.merge(&diff);
-        assert_eq!(merged, a);
+        assert_eq!(a.minus(&a), StageLatency::new());
         assert_eq!(a.issue_to_mem.overflow(), 1);
 
         let json = Json::parse(&a.to_json().to_string()).expect("valid json");
@@ -615,68 +627,219 @@ mod tests {
         rec.seq = 0;
         rec.dispatch = Some(1);
         s.observe(&rec); // no issue/commit stamps
-        assert_eq!(s.count(), 0);
+        assert_eq!(s, StageLatency::new());
+    }
+
+    /// Stamps one instruction's lifetime up to its commit into `r`.
+    fn live(
+        r: &mut PipeviewRecorder,
+        seq: u64,
+        kind: InstrKind,
+        deps: [Option<u64>; 2],
+        [fetch, dispatch, issue, wb]: [u64; 4],
+        sq_extra: u32,
+        mem_level: u8,
+    ) {
+        r.fetch(seq, fetch, &instr(kind, 0x400 + 4 * seq, 0x1000));
+        r.dispatch(seq, dispatch, deps);
+        r.issue(seq, issue, wb, sq_extra, mem_level);
     }
 
     #[test]
     fn critical_path_components_sum_to_chain_length() {
+        // No ring: the chain is tracked at commit, not rebuilt from records.
+        let mut r = PipeviewRecorder::new(0);
+        r.init(8);
         // seq 0: load, fetch 0, dispatch 1, issue 2, wb 12 (L2, 2 sq-extra)
         // seq 1: alu consuming seq 0: fetch 0, dispatch 1, issue 12, wb 13
         // seq 2: alu consuming seq 1: fetch 10, dispatch 11, issue 13, wb 14
-        let mk = |seq, kind, deps, fetch, dispatch, issue, wb, commit| {
-            let mut r = PipeRecord::vacant();
-            r.seq = seq;
-            r.kind = kind;
-            r.deps = deps;
-            r.fetch = fetch;
-            r.dispatch = Some(dispatch);
-            r.issue = Some(issue);
-            r.writeback = Some(wb);
-            r.commit = Some(commit);
-            r
-        };
-        let mut load = mk(0, InstrKind::Load, [None, None], 0, 1, 2, 12, 13);
-        load.sq_extra = 2;
-        load.mem_level = 1;
-        let records = vec![
-            load,
-            mk(1, InstrKind::IntAlu, [Some(0), None], 0, 1, 12, 13, 14),
-            mk(2, InstrKind::IntAlu, [Some(1), Some(1)], 10, 11, 13, 14, 15),
-        ];
-        let cp = CriticalPath::analyze(&records).expect("committed records");
+        live(
+            &mut r,
+            0,
+            InstrKind::Load,
+            [None, None],
+            [0, 1, 2, 12],
+            2,
+            1,
+        );
+        live(
+            &mut r,
+            1,
+            InstrKind::IntAlu,
+            [Some(0), None],
+            [0, 1, 12, 13],
+            0,
+            0,
+        );
+        live(
+            &mut r,
+            2,
+            InstrKind::IntAlu,
+            [Some(1), Some(1)],
+            [10, 11, 13, 14],
+            0,
+            0,
+        );
+        for (seq, cycle) in [(0, 13), (1, 14), (2, 15)] {
+            r.commit(seq, cycle);
+        }
+        assert!(r.take_records().is_empty(), "no ring, no records");
+        let cp = r.take_critical_path().expect("committed instructions");
         assert_eq!(cp.instructions, 3);
         assert_eq!(cp.length, 14, "head writeback 14 − tail fetch 0");
         assert_eq!(cp.total(), cp.length, "components partition the chain");
         // Tail load: frontend 1, schedule 1, sq_search 2, mem_l2 8.
         // Middle alu: its own frontend/schedule cycles are hidden behind
         // the load (lo = 12): exec 1. Head alu: exec 1.
-        assert_eq!(cp.slots("frontend"), 1);
-        assert_eq!(cp.slots("schedule"), 1);
-        assert_eq!(cp.slots("sq_search"), 2);
-        assert_eq!(cp.slots("mem_l2"), 8);
-        assert_eq!(cp.slots("exec"), 2);
-        assert_eq!(cp.slots("mem_l1"), 0);
+        // frontend, schedule, sq_search, exec, mem_l1, mem_l2, mem_dram
+        assert_eq!(cp.components, [1, 1, 2, 2, 0, 8, 0]);
     }
 
     #[test]
     fn critical_path_ignores_squashed_and_unrecorded_parents() {
-        let mut alone = PipeRecord::vacant();
-        alone.seq = 9;
-        alone.kind = InstrKind::IntAlu;
-        alone.deps = [Some(8), None]; // producer not in the record set
-        alone.fetch = 4;
-        alone.dispatch = Some(5);
-        alone.issue = Some(6);
-        alone.writeback = Some(7);
-        alone.commit = Some(8);
-        let mut squashed = alone;
-        squashed.seq = 10;
-        squashed.commit = None;
-        squashed.squash = Some((9, SquashCause::MemOrder));
-        let cp = CriticalPath::analyze(&[alone, squashed]).expect("one committed record");
+        let mut r = recorder();
+        // Producer seq 8 was never recorded.
+        live(
+            &mut r,
+            9,
+            InstrKind::IntAlu,
+            [Some(8), None],
+            [4, 5, 6, 7],
+            0,
+            0,
+        );
+        r.commit(9, 8);
+        // A squashed consumer completing later neither heads nor joins
+        // a chain.
+        live(
+            &mut r,
+            10,
+            InstrKind::IntAlu,
+            [Some(9), None],
+            [4, 5, 7, 30],
+            0,
+            0,
+        );
+        r.squash(10, 11, 9, SquashCause::MemOrder);
+        let cp = r.take_critical_path().expect("one committed instruction");
         assert_eq!(cp.instructions, 1);
         assert_eq!(cp.length, 3);
         assert_eq!(cp.total(), 3);
-        assert_eq!(CriticalPath::analyze(&[squashed]), None);
+        assert_eq!(r.take_critical_path(), None, "nothing committed since");
+    }
+
+    #[test]
+    fn critical_path_ties_go_to_the_younger_seq() {
+        let mut r = recorder();
+        // Both producers of seq 2 write back at 5; seq 1 is younger.
+        live(
+            &mut r,
+            0,
+            InstrKind::IntAlu,
+            [None, None],
+            [0, 1, 4, 5],
+            0,
+            0,
+        );
+        live(
+            &mut r,
+            1,
+            InstrKind::IntAlu,
+            [None, None],
+            [3, 3, 4, 5],
+            0,
+            0,
+        );
+        live(
+            &mut r,
+            2,
+            InstrKind::IntAlu,
+            [Some(0), Some(1)],
+            [3, 4, 5, 6],
+            0,
+            0,
+        );
+        for seq in 0..3 {
+            r.commit(seq, 7);
+        }
+        let cp = r.take_critical_path().expect("committed");
+        assert_eq!((cp.instructions, cp.length), (2, 6 - 3), "through seq 1");
+        // Two chains end at 12; the younger one heads the window.
+        live(
+            &mut r,
+            3,
+            InstrKind::IntAlu,
+            [None, None],
+            [7, 8, 9, 12],
+            0,
+            0,
+        );
+        live(
+            &mut r,
+            4,
+            InstrKind::IntAlu,
+            [None, None],
+            [10, 10, 11, 12],
+            0,
+            0,
+        );
+        r.commit(3, 13);
+        r.commit(4, 13);
+        let cp = r.take_critical_path().expect("committed");
+        assert_eq!((cp.instructions, cp.length), (1, 12 - 10), "seq 4 heads");
+    }
+
+    #[test]
+    fn critical_path_stops_at_the_window_edge() {
+        let mut r = recorder();
+        live(
+            &mut r,
+            0,
+            InstrKind::Load,
+            [None, None],
+            [0, 1, 2, 40],
+            0,
+            2,
+        );
+        r.commit(0, 41);
+        // A report between the producer's commit and its consumer's.
+        let warm = r.take_critical_path().expect("the producer committed");
+        assert_eq!((warm.instructions, warm.length), (1, 40));
+        live(
+            &mut r,
+            1,
+            InstrKind::IntAlu,
+            [Some(0), None],
+            [3, 4, 40, 41],
+            0,
+            0,
+        );
+        r.commit(1, 42);
+        let cp = r.take_critical_path().expect("the consumer committed");
+        assert_eq!(cp.instructions, 1, "the producer is before the window");
+        assert_eq!(cp.length, 41 - 3, "from the consumer's own fetch");
+        assert_eq!(cp.components, [1, 36, 0, 1, 0, 0, 0]);
+        assert_eq!(cp.total(), cp.length);
+        // Stage latencies stay cumulative across reports.
+        assert_eq!(r.report().dispatch_to_issue.count(), 2);
+    }
+
+    #[test]
+    fn critical_path_json_names_every_component() {
+        let cp = CriticalPath {
+            length: 7,
+            instructions: 2,
+            components: [1, 0, 2, 0, 4, 0, 0],
+        };
+        let json = Json::parse(&cp.to_json().to_string()).expect("valid json");
+        assert_eq!(json.get("length").and_then(Json::as_u64), Some(7));
+        assert_eq!(json.get("instructions").and_then(Json::as_u64), Some(2));
+        let components = json.get("components").and_then(Json::as_obj);
+        let names: Vec<&str> = components
+            .expect("components object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(names, CP_COMPONENTS);
     }
 }

@@ -138,8 +138,10 @@ pub trait Probe {
     /// `nanos` of wall time were spent in `phase`.
     fn phase(&mut self, phase: Phase, nanos: u64);
 
-    /// Adds the recorders' reports to `result`.
-    fn report(&self, result: &mut SimResult);
+    /// Adds the recorders' reports to `result`, and starts a new
+    /// window: the next report's critical path covers only the
+    /// instructions committed after this one.
+    fn report(&mut self, result: &mut SimResult);
 }
 
 /// The do-nothing probe: the default, and what the benchmarks measure.
@@ -204,7 +206,7 @@ impl Probe for NopProbe {
     fn phase(&mut self, _phase: Phase, _nanos: u64) {}
 
     #[inline(always)]
-    fn report(&self, _result: &mut SimResult) {}
+    fn report(&mut self, _result: &mut SimResult) {}
 }
 
 /// The files a [`ProbeSet`]'s recorders are written to after a run.
@@ -262,26 +264,32 @@ pub struct ProbeSpec {
     /// width in cycles. It hangs off the accountant: without
     /// `accounting` nothing is sampled or written.
     pub cpi_csv: Option<(PathBuf, u64)>,
-    /// `LSQ_PIPEVIEW` (+ `LSQ_PIPEVIEW_CAP`): the lifecycle recorder and
-    /// its pipeline-viewer log.
+    /// `LSQ_PIPEVIEW`: the lifecycle recorder, which reports stage
+    /// latencies and the critical path.
+    pub lifecycle: bool,
+    /// `LSQ_PIPEVIEW` (+ `LSQ_PIPEVIEW_CAP`): the pipeline-viewer log and
+    /// the finished-record ring that feeds it. It hangs off the lifecycle
+    /// recorder: without `lifecycle` nothing is recorded or written.
     pub pipeview: Option<PipeviewConfig>,
 }
 
 impl ProbeSpec {
     /// The recorders and sinks the `LSQ_*` knobs ask for.
     pub fn from_env() -> ProbeSpec {
+        let pipeview = PipeviewConfig::from_env();
         ProbeSpec {
             trace: TraceConfig::from_env(),
             profile: lsq_util::knobs::flag("LSQ_PROFILE"),
             accounting: lsq_util::knobs::flag("LSQ_ACCOUNTING"),
             cpi_csv: accounting_csv_from_env(),
-            pipeview: PipeviewConfig::from_env(),
+            lifecycle: pipeview.is_some(),
+            pipeview,
         }
     }
 
     /// Whether no recorder is asked for, so a run is unobserved.
     pub fn is_off(&self) -> bool {
-        self.trace.is_none() && !self.profile && !self.accounting && self.pipeview.is_none()
+        self.trace.is_none() && !self.profile && !self.accounting && !self.lifecycle
     }
 
     /// The files job `n`'s recorders are written to. Parallel jobs
@@ -294,10 +302,14 @@ impl ProbeSpec {
                 path: numbered(&t.path, n),
                 ..t
             }),
-            pipeview: self.pipeview.clone().map(|p| PipeviewConfig {
-                path: numbered(&p.path, n),
-                ..p
-            }),
+            pipeview: self
+                .pipeview
+                .clone()
+                .filter(|_| self.lifecycle)
+                .map(|p| PipeviewConfig {
+                    path: numbered(&p.path, n),
+                    ..p
+                }),
             cpi_csv: self
                 .cpi_csv
                 .as_ref()
@@ -322,9 +334,8 @@ impl ProbeSpec {
                 .filter(|_| self.accounting)
                 .map(|(_, window)| Sampler::new(*window, &Component::NAMES)),
             life: self
-                .pipeview
-                .as_ref()
-                .map(|p| PipeviewRecorder::new(p.capacity)),
+                .lifecycle
+                .then(|| PipeviewRecorder::new(self.pipeview.as_ref().map_or(0, |p| p.capacity))),
             sinks: self.sinks(n),
             ..ProbeSet::default()
         }
@@ -564,10 +575,13 @@ impl Probe for ProbeSet {
         }
     }
 
-    fn report(&self, result: &mut SimResult) {
+    fn report(&mut self, result: &mut SimResult) {
         result.profile = self.timer.as_ref().map(WallProfiler::report);
         result.cpi_stack = self.acct.clone();
-        result.stage_latency = self.life.as_ref().map(PipeviewRecorder::report);
+        if let Some(l) = &mut self.life {
+            result.stage_latency = Some(l.report());
+            result.critical_path = l.take_critical_path();
+        }
     }
 }
 
@@ -581,6 +595,7 @@ mod tests {
             trace: Some(TraceConfig::parse("out/t.json:chrome", Some("500"))),
             accounting: true,
             cpi_csv: Some((PathBuf::from("out/cpi.csv"), 100)),
+            lifecycle: true,
             pipeview: Some(PipeviewConfig::parse("out/p.kanata")),
             ..ProbeSpec::default()
         };
@@ -667,6 +682,37 @@ mod tests {
         assert!(probe.acct.is_some() && probe.cpi_sampler.is_some());
         assert_eq!(probe.sinks.cpi_csv, Some(PathBuf::from("cpi.csv")));
         assert!(ProbeSpec::default().is_off());
+    }
+
+    #[test]
+    fn the_pipeview_log_hangs_off_the_lifecycle_recorder() {
+        let log = ProbeSpec {
+            pipeview: Some(PipeviewConfig::parse("p.kanata")),
+            ..ProbeSpec::default()
+        };
+        assert!(log.is_off(), "a log alone attaches nothing");
+        let probe = log.build(0);
+        assert!(probe.life.is_none() && probe.sinks.is_empty());
+        let recorded = ProbeSpec {
+            lifecycle: true,
+            ..log
+        };
+        assert_eq!(recorded.build(0).sinks.pipeview, recorded.pipeview);
+        // With no log, the recorder keeps no finished records.
+        let mut probe = ProbeSpec {
+            lifecycle: true,
+            ..ProbeSpec::default()
+        }
+        .build(0);
+        assert!(probe.sinks.is_empty());
+        let life = probe.life.as_mut().expect("lifecycle recorder");
+        life.init(4);
+        life.fetch(0, 1, &Instruction::op(Pc(0x400), InstrKind::IntAlu));
+        life.dispatch(0, 2, [None, None]);
+        life.issue(0, 3, 4, 0, 0);
+        life.commit(0, 5);
+        assert!(life.take_records().is_empty());
+        assert_eq!(life.dropped(), 0, "nothing is evicted without a ring");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 
 use lsq_obs::Json;
 
-/// A named region of [`Simulator::step`](crate::Simulator::step).
+/// A named region of one simulated cycle of
+/// [`Simulator::run`](crate::Simulator::run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Fetch stage: i-cache access, branch prediction, replay refill.

@@ -1,7 +1,7 @@
 //! Results of a simulation run.
 
 use crate::accounting::CpiStack;
-use crate::lifecycle::StageLatency;
+use crate::lifecycle::{CriticalPath, StageLatency};
 use crate::profile::PhaseProfile;
 use lsq_core::LsqStats;
 
@@ -68,6 +68,10 @@ pub struct SimResult {
     /// unless a lifecycle recorder was attached (see
     /// [`crate::lifecycle`]). Fully deterministic.
     pub stage_latency: Option<StageLatency>,
+    /// The longest dependency chain of the instructions committed since
+    /// the probe's previous report (so [`SimResult::since`] keeps it),
+    /// `None` unless a lifecycle recorder was attached. Deterministic.
+    pub critical_path: Option<CriticalPath>,
 }
 
 impl SimResult {
@@ -331,6 +335,7 @@ mod tests {
             wall_nanos: 0,
             cpi_stack: None,
             stage_latency: None,
+            critical_path: None,
             sim_mips: 0.0,
             profile: None,
         }

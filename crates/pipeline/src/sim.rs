@@ -1159,7 +1159,7 @@ impl<P: Probe> Simulator<P> {
     // Results
     // ------------------------------------------------------------------
 
-    fn result(&self, hit_cycle_cap: bool) -> SimResult {
+    fn result(&mut self, hit_cycle_cap: bool) -> SimResult {
         let mut r = SimResult {
             cycles: self.cycle,
             committed: self.committed,
@@ -1184,6 +1184,7 @@ impl<P: Probe> Simulator<P> {
             profile: None,
             cpi_stack: None,
             stage_latency: None,
+            critical_path: None,
             hit_cycle_cap,
         };
         self.probe.report(&mut r);

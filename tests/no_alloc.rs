@@ -5,11 +5,13 @@
 //! 10,000 instructions must make exactly as many allocations as a run
 //! of none, which only builds the `SimResult`. The runs include loads
 //! parked on predicted stores, a full load buffer and in-order issue, so
-//! parking, unparking and bulk refusal counting are measured too.
+//! parking, unparking and bulk refusal counting are measured too. A
+//! lifecycle recorder with no pipeline-viewer sink, which tracks the
+//! critical path at commit, allocates nothing once warm either.
 
 use lsq::core::{LoadOrderPolicy, LsqConfig};
 use lsq::experiments::experiments::design_points as standard_points;
-use lsq::pipeline::{SimConfig, Simulator};
+use lsq::pipeline::{ProbeSpec, SimConfig, Simulator};
 use lsq::trace::BenchProfile;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -130,4 +132,38 @@ fn warm_simulation_loop_does_not_allocate() {
     // Both squash sources were exercised, not just configured.
     assert!(load_load_squashes > 0, "no load-load squash fired");
     assert!(invalidations > 0, "no invalidation squash fired");
+}
+
+/// Tracking the critical path at commit reuses the recorder's
+/// preallocated chain table: a recorded warm run allocates no more than
+/// a recorded empty one, which builds the result and its reports.
+#[test]
+fn warm_chain_tracking_does_not_allocate() {
+    let recorded = ProbeSpec {
+        lifecycle: true,
+        ..ProbeSpec::default()
+    };
+    for bench in ["gzip", "mcf"] {
+        for (label, lsq) in standard_points() {
+            let profile = BenchProfile::named(bench).expect("known benchmark");
+            let mut stream = profile.stream(1);
+            let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq), recorded.build(0));
+            sim.prewarm(&stream.data_regions(), stream.code_region());
+            let _ = sim.run(&mut stream, 20_000);
+            let (before, baseline) = allocations(|| sim.run(&mut stream, 0));
+            let (after, measured) = allocations(|| sim.run(&mut stream, 10_000));
+            assert_eq!(
+                measured,
+                baseline,
+                "{bench}/{label}: the warm recorded run allocated {} times beyond building its result",
+                measured as i64 - baseline as i64
+            );
+            assert_eq!(before.critical_path, None, "{bench}/{label}: empty window");
+            let cp = after.critical_path.expect("the window committed");
+            assert!(
+                cp.instructions > 0 && cp.total() == cp.length,
+                "{bench}/{label}"
+            );
+        }
+    }
 }

@@ -4,19 +4,22 @@
 //! flagged, never double-counted), squash-heavy workloads must
 //! terminate their victims' records with the right cause, and the
 //! engine's `LSQ_PIPEVIEW` path must write a parseable log while
-//! accounting ring overflow in `lsq_pipeview_dropped_total`.
+//! accounting ring overflow in `lsq_pipeview_dropped_total`. The
+//! critical path the recorder tracks at commit must equal a backward
+//! walk over the measured window's finished records.
 //!
 //! The env-dependent assertions are confined to a single `#[test]`
 //! (mirroring `telemetry_profile.rs`); the remaining tests never read
 //! the environment.
 
 use lsq::core::LsqConfig;
+use lsq::experiments::experiments::design_points;
 use lsq::experiments::{telemetry, Engine, Job, RunSpec};
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
 use lsq::obs::{parse_konata, parse_o3, parse_pipeview, PipeRecord, PipeviewConfig, SquashCause};
-use lsq::pipeline::{PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator};
+use lsq::pipeline::{CriticalPath, PipeviewRecorder, ProbeSet, SimConfig, SimResult, Simulator};
 use lsq::trace::BenchProfile;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 /// Serializes the tests that mutate process environment variables.
@@ -64,6 +67,84 @@ fn recorded_run(bench: &str, n: u64) -> (SimResult, Vec<PipeRecord>) {
     assert_eq!(life.dropped(), 0, "ring sized to hold everything");
     let records = life.take_records();
     (res, records)
+}
+
+/// The reference: walks `records` backwards from the committed
+/// instruction with the latest `(writeback, seq)`, always to the
+/// committed producer whose result arrived last, attributing each
+/// link's cycles by the consumer's stage boundaries.
+fn walk_back(records: &[PipeRecord]) -> Option<CriticalPath> {
+    let committed: HashMap<u64, &PipeRecord> = records
+        .iter()
+        .filter(|r| r.commit.is_some() && r.dispatch.is_some())
+        .filter(|r| r.issue.is_some() && r.writeback.is_some())
+        .map(|r| (r.seq, r))
+        .collect();
+    let head = *committed.values().max_by_key(|r| (r.writeback, r.seq))?;
+    let mut cp = CriticalPath::default();
+    let mut node = head;
+    loop {
+        let (dispatch, issue, wb) = (node.dispatch?, node.issue?, node.writeback?);
+        let parent = node
+            .deps
+            .iter()
+            .flatten()
+            .filter_map(|d| committed.get(d).copied())
+            .filter(|p| p.writeback < Some(wb))
+            .max_by_key(|p| (p.writeback, p.seq));
+        let lo = parent.and_then(|p| p.writeback).unwrap_or(node.fetch);
+        let at = |stamp: u64| stamp.max(lo).min(wb);
+        let exec = wb - at(issue);
+        let (sq, mem) = if node.kind.is_load() {
+            let sq = exec.min(u64::from(node.sq_extra));
+            (sq, 4 + usize::from(node.mem_level.min(2)))
+        } else {
+            (0, 3)
+        };
+        for (component, cycles) in [
+            (0, at(dispatch) - lo),
+            (1, at(issue) - at(dispatch)),
+            (2, sq),
+            (mem, exec - sq),
+        ] {
+            cp.components[component] += cycles;
+        }
+        cp.instructions += 1;
+        match parent {
+            Some(p) => node = p,
+            None => {
+                cp.length = head.writeback? - node.fetch;
+                return Some(cp);
+            }
+        }
+    }
+}
+
+/// The chain tracked at commit is the one a backward walk over the
+/// measured window's records finds, on every standard design point.
+#[test]
+fn the_commit_time_chain_matches_a_backward_walk() {
+    for bench in ["gzip", "mcf"] {
+        for (label, lsq) in design_points() {
+            let profile = BenchProfile::named(bench).expect("known benchmark");
+            let mut stream = profile.stream(1);
+            let probe = ProbeSet {
+                life: Some(PipeviewRecorder::new(1 << 16)),
+                ..ProbeSet::default()
+            };
+            let mut sim = Simulator::with_probe(SimConfig::with_lsq(lsq), probe);
+            sim.prewarm(&stream.data_regions(), stream.code_region());
+            let _ = sim.run(&mut stream, 3_000);
+            let life = sim.probe_mut().life.as_mut().expect("recorder attached");
+            let _warmup = life.take_records();
+            let measured = sim.run(&mut stream, 8_000);
+            let life = sim.probe_mut().life.as_mut().expect("recorder attached");
+            assert_eq!(life.dropped(), 0, "ring sized to hold the window");
+            let reference = walk_back(&life.take_records());
+            assert!(reference.is_some(), "{bench}/{label}: a chain");
+            assert_eq!(measured.critical_path, reference, "{bench}/{label}");
+        }
+    }
 }
 
 /// Every committed instruction must appear in the rendered log exactly

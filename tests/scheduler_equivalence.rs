@@ -142,9 +142,9 @@ fn accounting_is_invisible_and_partitions_every_slot() {
 
 /// The lifecycle recorder is pure observability, same contract as the
 /// accountant: attaching it must leave every architectural counter
-/// bit-identical across all four design points, and the stage-latency
+/// bit-identical across all four design points, the stage-latency
 /// histograms it emits must cover every committed instruction of the
-/// measured window exactly once.
+/// measured window exactly once, and its critical path must lie in it.
 #[test]
 fn lifecycle_recording_is_invisible_and_covers_every_commit() {
     for bench in ["gzip", "mcf"] {
@@ -155,6 +155,12 @@ fn lifecycle_recording_is_invisible_and_covers_every_commit() {
                 .stage_latency
                 .take()
                 .expect("recorded run reports stage latencies");
+            let cp = recorded
+                .critical_path
+                .take()
+                .expect("recorded run reports its critical path");
+            assert_eq!(cp.total(), cp.length, "{bench}/{label}");
+            assert!(cp.instructions as u64 <= recorded.committed);
             assert_eq!(
                 format!("{plain:?}"),
                 format!("{recorded:?}"),

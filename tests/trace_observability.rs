@@ -348,6 +348,7 @@ fn all_recorders_on_match_the_nop_probe() {
         assert!(observed.profile.take().is_some(), "{label}: profile");
         assert!(observed.cpi_stack.take().is_some(), "{label}: cpi stack");
         assert!(observed.stage_latency.take().is_some(), "{label}: stages");
+        assert!(observed.critical_path.take().is_some(), "{label}: chain");
         assert_eq!(
             format!("{plain:?}"),
             format!("{observed:?}"),
