@@ -7,11 +7,10 @@
 //! in Figures 6 through 12. The engine flattens each request into [`Job`]s,
 //! runs the jobs that have not been seen before on a work-stealing thread
 //! pool sized by [`worker_count`], and serves repeats from a cache keyed
-//! by everything that shapes a run's result (benchmark name, the full
-//! [`SimConfig`], the [`RunSpec`], and which of the recorders that add
-//! reports to a [`SimResult`] ran). Simulations are deterministic, so a
-//! cached result is exactly the result a fresh run would produce (modulo
-//! the host-timing fields).
+//! by everything that shapes a run's result: the [`Job`] itself and
+//! which of the recorders that add reports to a [`SimResult`] ran.
+//! Simulations are deterministic, so a cached result is exactly the
+//! result a fresh run would produce (modulo the host-timing fields).
 //!
 //! A batch's observers are one [`ProbeSpec`]: [`Engine::run_batch`]
 //! reads it from the knobs below once per batch, on the calling thread,
@@ -35,7 +34,7 @@
 //!   while batches run: `/metrics` in Prometheus text format, `/jobs`
 //!   as a JSON snapshot (see [`crate::telemetry`]).
 //! * `LSQ_PROFILE=1` — run every fresh job under the simulator
-//!   self-profiler ([`lsq_pipeline::WallProfiler`]): each
+//!   self-profiler ([`lsq_pipeline::PhaseProfile`]): each
 //!   `LSQ_EXPERIMENTS_JSON` record carries its per-phase wall-time
 //!   profile, and the engine prints (and exposes) the batch aggregate.
 //! * `LSQ_ACCOUNTING=1` — run every fresh job under the cycle
@@ -75,19 +74,16 @@ pub struct Job {
     pub spec: RunSpec,
 }
 
-/// Result-cache key: everything that shapes a run's result. The full
-/// [`SimConfig`] (not just the LSQ point and the scaled flag it was
-/// derived from) is hashed, so two jobs collide only if the simulator
-/// would be configured identically. `reports` records whether the phase
-/// timer, the cycle accountant and the lifecycle recorder ran, since
-/// they fill [`SimResult::profile`], [`SimResult::cpi_stack`], and
-/// [`SimResult::stage_latency`] with [`SimResult::critical_path`]: a
+/// Result-cache key: everything that shapes a run's result. That is
+/// the [`Job`] itself, whose processor ([`Job::config`]) is a function
+/// of its LSQ point and scaled flag alone, and `reports`: whether the
+/// phase timer, the cycle accountant and the lifecycle recorder ran,
+/// since they fill [`SimResult::profile`], [`SimResult::cpi_stack`], and
+/// [`SimResult::stage_latency`] with [`SimResult::critical_path`]. A
 /// cached result never answers a batch that asked for a report it lacks.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct JobKey {
-    bench: &'static str,
-    sim: SimConfig,
-    spec: RunSpec,
+    job: Job,
     reports: [bool; 3],
 }
 
@@ -104,9 +100,7 @@ impl Job {
 
     fn key(&self, observers: &ProbeSpec) -> JobKey {
         JobKey {
-            bench: self.bench,
-            sim: self.config(),
-            spec: self.spec,
+            job: *self,
             reports: [observers.profile, observers.accounting, observers.lifecycle],
         }
     }
@@ -259,12 +253,12 @@ impl Engine {
         let keys: Vec<JobKey> = jobs.iter().map(|j| j.key(observers)).collect();
 
         // Unique uncached keys, in first-appearance order (deterministic).
-        let mut pending: Vec<(JobKey, Job)> = Vec::new();
+        let mut pending: Vec<JobKey> = Vec::new();
         {
             let cache = self.cache.lock_unpoisoned();
-            for (job, key) in jobs.iter().zip(&keys) {
-                if !cache.contains_key(key) && !pending.iter().any(|(k, _)| k == key) {
-                    pending.push((key.clone(), *job));
+            for key in &keys {
+                if !cache.contains_key(key) && !pending.contains(key) {
+                    pending.push(*key);
                 }
             }
         }
@@ -307,8 +301,8 @@ impl Engine {
 
         {
             let mut cache = self.cache.lock_unpoisoned();
-            for ((key, _), result) in pending.iter().zip(fresh) {
-                cache.insert(key.clone(), result);
+            for (key, result) in pending.iter().zip(fresh) {
+                cache.insert(*key, result);
             }
         }
 
@@ -319,7 +313,7 @@ impl Engine {
         // A job is "fresh" only at the first appearance of a key simulated
         // in this batch; repeats and keys cached by earlier batches are
         // hits.
-        let mut unserved: HashSet<&JobKey> = pending.iter().map(|(k, _)| k).collect();
+        let mut unserved: HashSet<&JobKey> = pending.iter().collect();
         let cached_flags: Vec<bool> = keys.iter().map(|k| !unserved.remove(k)).collect();
         let batch_hits = cached_flags.iter().filter(|&&c| c).count() as u64;
         telemetry::global().cache_counted(batch_hits, pending.len() as u64);
@@ -357,7 +351,7 @@ impl Engine {
     /// and finish to telemetry.
     fn run_pending(
         &self,
-        pending: &[(JobKey, Job)],
+        pending: &[JobKey],
         workers: usize,
         observers: &ProbeSpec,
     ) -> Vec<SimResult> {
@@ -373,7 +367,7 @@ impl Engine {
         let tel = telemetry::global();
         tel.batch_started(total, workers);
         let results = work_steal(total, workers, |idx, w, stolen| {
-            let job = pending[idx].1;
+            let job = pending[idx].job;
             tel.job_claimed(w, job_label(&job), stolen);
             let t0 = Instant::now();
             let mut r = crate::runner::run_job(&job, observers, first_sink + idx as u64);
@@ -766,9 +760,11 @@ mod tests {
         assert!(matches!(records[0].get("critical_path"), Some(Json::Null)));
     }
 
-    /// Jobs that differ in any one `LsqConfig` field are told apart by
+    /// Jobs that differ in any one `LsqConfig` field, in `scaled` or in
+    /// a `RunSpec` field are each a fresh simulation, told apart by
     /// their records' config fields (the supplementary artifact's
-    /// 32-entry-SSIT jobs against the defaults, say).
+    /// 32-entry-SSIT jobs against the defaults, say); the cache serves
+    /// a repeat of them all.
     #[test]
     fn json_dump_tells_jobs_apart_by_every_config_field() {
         let base = job("gzip");
@@ -784,9 +780,33 @@ mod tests {
             variant(|c| c.counter_max = 3),
             variant(|c| c.store_set_gating = false),
             variant(|c| c.load_load_squash = true),
+            Job {
+                scaled: true,
+                ..base
+            },
+            Job {
+                spec: RunSpec { seed: 2, ..TINY },
+                ..base
+            },
+            Job {
+                spec: RunSpec {
+                    warmup: 100,
+                    ..TINY
+                },
+                ..base
+            },
+            Job {
+                spec: RunSpec {
+                    instrs: 400,
+                    ..TINY
+                },
+                ..base
+            },
         ];
         let engine = Engine::new();
         let _ = engine.run_batch_with_workers(&jobs, Some(1));
+        let n = jobs.len() as u64;
+        assert_eq!(engine.stats(), (0, n), "every job is a fresh simulation");
         let path =
             std::env::temp_dir().join(format!("lsq_engine_config_{}.json", std::process::id()));
         engine.dump_json(path.to_str().unwrap());
@@ -827,6 +847,12 @@ mod tests {
         assert_eq!(
             records[1].get("ssit_entries").and_then(Json::as_u64),
             Some(32)
+        );
+        let _ = engine.run_batch_with_workers(&jobs, Some(1));
+        assert_eq!(
+            engine.stats(),
+            (n, n),
+            "the repeat is served from the cache"
         );
     }
 

@@ -88,8 +88,9 @@ fn simulate<P: Probe>(job: &Job, probe: P) -> (SimResult, P) {
 }
 
 /// Runs `job` as every engine job runs, reporting to `probe`, then
-/// writes the recorders to their sinks; the probe comes back with what
-/// the sinks did not take (a recorder with no sink is left in place).
+/// writes the recorders to the files `probe.spec` names; the probe
+/// comes back with what was not written (a recorder with no file is
+/// left in place).
 ///
 /// # Panics
 ///
@@ -115,17 +116,17 @@ pub(crate) fn run_job(job: &Job, observers: &ProbeSpec, n: u64) -> SimResult {
 /// the configured paths verbatim. Batches that write no file take none.
 pub(crate) fn number_sinks(observers: &ProbeSpec, jobs: usize) -> u64 {
     static SINK_JOBS: AtomicU64 = AtomicU64::new(0);
-    if observers.sinks(0).is_empty() {
+    if observers.writes_nothing() {
         return 0;
     }
     SINK_JOBS.fetch_add(jobs as u64, Ordering::Relaxed)
 }
 
-/// Writes a finished run's recorders to their sinks: the windowed
-/// CPI-stack CSV, the pipeline-viewer log, then the event trace and
-/// timeline.
+/// Writes a finished run's recorders to the files of its spec: the
+/// windowed CPI-stack CSV, the pipeline-viewer log, then the event
+/// trace and timeline.
 fn flush_sinks(bench: &str, probe: &mut ProbeSet) {
-    if let (Some(path), Some(cpi)) = (&probe.sinks.cpi_csv, &mut probe.cpi_sampler) {
+    if let (Some((path, _)), Some(cpi)) = (&probe.spec.cpi_csv, &mut probe.cpi_sampler) {
         cpi.flush();
         match write_file(path, &cpi.to_csv()) {
             Ok(()) => eprintln!("cpi-stack csv: {bench} -> {}", path.display()),
@@ -135,7 +136,7 @@ fn flush_sinks(bench: &str, probe: &mut ProbeSet) {
             ),
         }
     }
-    if let (Some(pv), Some(life)) = (&probe.sinks.pipeview, &mut probe.life) {
+    if let (Some(pv), Some(life)) = (&probe.spec.pipeview, &mut probe.life) {
         let records = life.take_records();
         warn_on_pipeview_drops(bench, &records, life.dropped(), pv.capacity);
         match pv.write(&records) {
@@ -146,7 +147,7 @@ fn flush_sinks(bench: &str, probe: &mut ProbeSet) {
             ),
         }
     }
-    if let Some(trace) = probe.sinks.trace.clone() {
+    if let Some(trace) = probe.spec.trace.clone() {
         let sampler = probe.take_sampler();
         let buf = probe.trace.take().unwrap_or_default();
         warn_on_trace_drops(bench, &buf);
@@ -265,7 +266,23 @@ pub fn int_fp_means(rows: &[(&'static str, f64)]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsq_obs::{Sampler, TIMELINE};
+    use lsq_obs::{Sampler, TraceConfig, TIMELINE};
+    use lsq_util::sync::MutexExt;
+    use std::sync::Mutex;
+
+    /// Held by the tests that read `lsq_trace_events_dropped_total`, so
+    /// one does not see the other's drops.
+    static DROP_METRIC: Mutex<()> = Mutex::new(());
+
+    /// The process-wide `lsq_trace_events_dropped_total`.
+    fn trace_drops() -> u64 {
+        let text = crate::telemetry::global().metrics().render();
+        text.lines()
+            .find(|l| l.starts_with("lsq_trace_events_dropped_total"))
+            .and_then(|l| l.split_whitespace().last())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0)
+    }
 
     const SMALL: RunSpec = RunSpec {
         warmup: 2_000,
@@ -362,7 +379,7 @@ mod tests {
             cpi_sampler: Some(cpi),
             ..ProbeSet::default()
         };
-        probe.sinks.cpi_csv = Some(path.clone());
+        probe.spec.cpi_csv = Some((path.clone(), 2));
         flush_sinks("gzip", &mut probe);
         let text = std::fs::read_to_string(&path).expect("the sink wrote the CSV");
         assert_eq!(
@@ -383,21 +400,38 @@ mod tests {
             buf.total()
         );
         assert_eq!(buf.dropped() + buf.len() as u64, buf.total());
-        let before = crate::telemetry::global().metrics().render();
+        let _serial = DROP_METRIC.lock_unpoisoned();
+        let before = trace_drops();
         warn_on_trace_drops("gzip", &buf);
-        let after = crate::telemetry::global().metrics().render();
-        let count = |text: &str| -> u64 {
-            text.lines()
-                .find(|l| l.starts_with("lsq_trace_events_dropped_total"))
-                .and_then(|l| l.split_whitespace().last())
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0)
-        };
         assert_eq!(
-            count(&after),
-            count(&before) + buf.dropped(),
+            trace_drops(),
+            before + buf.dropped(),
             "sink flush bumps the drop metric"
         );
+    }
+
+    #[test]
+    fn a_timeline_trace_writes_its_csv_without_an_event_ring() {
+        let dir = std::env::temp_dir().join(format!("lsq_timeline_sink_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("t.csv");
+        let trace = TraceConfig {
+            capacity: 32,
+            ..TraceConfig::parse(&format!("{}:timeline", path.display()), None)
+        };
+        let spec = ProbeSpec {
+            trace: Some(trace),
+            ..ProbeSpec::default()
+        };
+        let _serial = DROP_METRIC.lock_unpoisoned();
+        let before = trace_drops();
+        let (_, probe) = run_observed(&gzip(), spec.build(0));
+        assert!(probe.trace.is_none(), "no ring was attached");
+        let text = std::fs::read_to_string(&path).expect("the timeline CSV was written");
+        assert!(text.starts_with("start_cycle,end_cycle,"), "{text}");
+        assert!(text.lines().count() > 1, "windows were recorded");
+        assert_eq!(trace_drops(), before, "nothing was dropped");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use lsq_isa::Addr;
 
 /// Geometry and hit latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes (power of two).
     pub size_bytes: u64,

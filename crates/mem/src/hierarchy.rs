@@ -5,7 +5,7 @@ use lsq_isa::Addr;
 use lsq_obs::MissLevel;
 
 /// Configuration of the full hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// L1 instruction cache (Table 1: 64K 2-way, 2-cycle, 32 B blocks).
     pub l1i: CacheConfig,

@@ -47,59 +47,6 @@ pub struct SimConfig {
     pub cycle_cap_per_instr: u64,
 }
 
-// `SimConfig` participates in the experiment engine's result-cache key,
-// which needs `Eq + Hash`. The only non-`Eq` field is `invalidation_rate`:
-// an `f64`, but always a configured probability constant (a literal or a
-// parsed flag), never NaN — so the derived `PartialEq` is a total
-// equivalence here.
-impl Eq for SimConfig {}
-
-impl std::hash::Hash for SimConfig {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let Self {
-            fetch_width,
-            dispatch_width,
-            issue_width,
-            commit_width,
-            rob_entries,
-            iq_entries,
-            int_units,
-            fp_units,
-            dcache_ports,
-            mispredict_penalty,
-            pair_recovery_extra,
-            late_wakeup_penalty,
-            invalidation_rate,
-            lsq,
-            hierarchy,
-            cycle_cap_per_instr,
-        } = self;
-        fetch_width.hash(state);
-        dispatch_width.hash(state);
-        issue_width.hash(state);
-        commit_width.hash(state);
-        rob_entries.hash(state);
-        iq_entries.hash(state);
-        int_units.hash(state);
-        fp_units.hash(state);
-        dcache_ports.hash(state);
-        mispredict_penalty.hash(state);
-        pair_recovery_extra.hash(state);
-        late_wakeup_penalty.hash(state);
-        // Hash the bit pattern, normalizing -0.0 to 0.0 so that
-        // `a == b` (IEEE equality) implies `hash(a) == hash(b)`.
-        let rate = if *invalidation_rate == 0.0 {
-            0.0f64
-        } else {
-            *invalidation_rate
-        };
-        rate.to_bits().hash(state);
-        lsq.hash(state);
-        hierarchy.hash(state);
-        cycle_cap_per_instr.hash(state);
-    }
-}
-
 impl Default for SimConfig {
     /// The paper's base processor (Table 1).
     fn default() -> Self {

@@ -36,7 +36,7 @@ pub use config::SimConfig;
 pub use lifecycle::{
     CriticalPath, PipeviewRecorder, StageLatency, CP_COMPONENTS, STAGE_BUCKETS, STAGE_NAMES,
 };
-pub use probe::{LsqOp, LsqSearch, NopProbe, Probe, ProbeSet, ProbeSpec, Sinks};
-pub use profile::{Phase, PhaseProfile, PhaseStat, WallProfiler};
+pub use probe::{LsqOp, LsqSearch, NopProbe, Probe, ProbeSet, ProbeSpec};
+pub use profile::{Phase, PhaseProfile, PhaseStat};
 pub use result::SimResult;
 pub use sim::Simulator;

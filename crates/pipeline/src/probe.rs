@@ -16,25 +16,26 @@
 //!   computes no hook argument and compiles to the unobserved code. The
 //!   `zero-cost-nop` lint checks the contract.
 //! * [`ProbeSet`] — optional recorders behind the hooks: the event ring
-//!   ([`TraceBuffer`]), the phase timer ([`WallProfiler`]), the slot
+//!   ([`TraceBuffer`]), the phase timer ([`PhaseProfile`]), the slot
 //!   accountant (a [`CpiStack`] charged slot by slot), the lifecycle
 //!   recorder ([`PipeviewRecorder`]), and two windowed [`Sampler`]s fed
 //!   at each cycle end: the timeline, over the [`TIMELINE`] counters,
 //!   and the CPI stack, over the accountant's per-component slots.
 //!   A [`ProbeSpec`] says which recorders to attach and where to write
 //!   them ([`ProbeSpec::from_env`] reads it from the `LSQ_*` knobs);
-//!   [`ProbeSpec::build`] makes the recorders, with their [`Sinks`], for
-//!   one job.
+//!   [`ProbeSpec::build`] makes one job's recorders and keeps them with
+//!   the job's own spec, [`ProbeSpec::for_job`], which they are written
+//!   by.
 
 use crate::accounting::{Component, CpiStack};
 use crate::config::SimConfig;
 use crate::lifecycle::PipeviewRecorder;
-use crate::profile::{Phase, WallProfiler};
+use crate::profile::{Phase, PhaseProfile};
 use crate::result::SimResult;
 use lsq_isa::{Addr, InstrKind, Instruction, Pc};
 use lsq_obs::{
     numbered, Event, MemOp, MissLevel, PipeviewConfig, QueueSide, SampleInput, Sampler,
-    SquashCause, TraceBuffer, TraceConfig, TIMELINE,
+    SquashCause, TraceBuffer, TraceConfig, TraceMode, TIMELINE,
 };
 use std::path::PathBuf;
 
@@ -209,24 +210,6 @@ impl Probe for NopProbe {
     fn report(&mut self, _result: &mut SimResult) {}
 }
 
-/// The files a [`ProbeSet`]'s recorders are written to after a run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Sinks {
-    /// `LSQ_TRACE`: the event trace and its timeline sidecar.
-    pub trace: Option<TraceConfig>,
-    /// `LSQ_PIPEVIEW`: the pipeline-viewer log.
-    pub pipeview: Option<PipeviewConfig>,
-    /// `LSQ_ACCOUNTING_CSV`: the windowed CPI-stack CSV.
-    pub cpi_csv: Option<PathBuf>,
-}
-
-impl Sinks {
-    /// Whether no file is configured.
-    pub fn is_empty(&self) -> bool {
-        *self == Sinks::default()
-    }
-}
-
 /// Default window width (cycles) for `LSQ_ACCOUNTING_CSV` rows.
 const DEFAULT_ACCOUNTING_WINDOW: u64 = 10_000;
 
@@ -292,16 +275,22 @@ impl ProbeSpec {
         self.trace.is_none() && !self.profile && !self.accounting && !self.lifecycle
     }
 
-    /// The files job `n`'s recorders are written to. Parallel jobs
-    /// write to distinct paths: job 0 to the configured paths verbatim,
-    /// later ones with a `.n` suffix (see [`numbered`]), the same for
-    /// every file of a job.
-    pub fn sinks(&self, n: u64) -> Sinks {
-        Sinks {
+    /// Job `n`'s spec: every path numbered (parallel jobs write
+    /// distinct files: job 0 the configured paths verbatim, later ones
+    /// with a `.n` suffix, see [`numbered`], the same for every file of
+    /// a job), and a sink dropped when its recorder is off: the CPI CSV
+    /// needs `accounting`, and the pipeview log needs `lifecycle`.
+    pub fn for_job(&self, n: u64) -> ProbeSpec {
+        ProbeSpec {
             trace: self.trace.clone().map(|t| TraceConfig {
                 path: numbered(&t.path, n),
                 ..t
             }),
+            cpi_csv: self
+                .cpi_csv
+                .as_ref()
+                .filter(|_| self.accounting)
+                .map(|(path, window)| (numbered(path, n), *window)),
             pipeview: self
                 .pipeview
                 .clone()
@@ -310,33 +299,40 @@ impl ProbeSpec {
                     path: numbered(&p.path, n),
                     ..p
                 }),
-            cpi_csv: self
-                .cpi_csv
-                .as_ref()
-                .filter(|_| self.accounting)
-                .map(|(path, _)| numbered(path, n)),
+            ..*self
         }
     }
 
-    /// Fresh recorders for job `n`, with [`ProbeSpec::sinks`]`(n)`.
+    /// Whether a run under this spec writes no file.
+    pub fn writes_nothing(&self) -> bool {
+        let files = self.for_job(0);
+        files.trace.is_none() && files.cpi_csv.is_none() && files.pipeview.is_none()
+    }
+
+    /// Fresh recorders for job `n`, kept with [`ProbeSpec::for_job`]`(n)`
+    /// as the spec they are written by. The event ring is attached only
+    /// when the trace writes events (`events` and `chrome` modes); a
+    /// `timeline` trace needs its sampler alone.
     pub fn build(&self, n: u64) -> ProbeSet {
-        let trace = self.trace.as_ref();
+        let spec = self.for_job(n);
+        let trace = spec.trace.as_ref();
         ProbeSet {
-            trace: trace.map(|t| TraceBuffer::with_capacity(t.capacity)),
+            trace: trace
+                .filter(|t| t.mode != TraceMode::Timeline)
+                .map(|t| TraceBuffer::with_capacity(t.capacity)),
             sampler: trace
                 .and_then(TraceConfig::effective_sample_cycles)
                 .map(|window| Sampler::new(window, &TIMELINE)),
-            timer: self.profile.then(WallProfiler::new),
-            acct: self.accounting.then(CpiStack::default),
-            cpi_sampler: self
+            timer: spec.profile.then(PhaseProfile::default),
+            acct: spec.accounting.then(CpiStack::default),
+            cpi_sampler: spec
                 .cpi_csv
                 .as_ref()
-                .filter(|_| self.accounting)
                 .map(|(_, window)| Sampler::new(*window, &Component::NAMES)),
-            life: self
+            life: spec
                 .lifecycle
-                .then(|| PipeviewRecorder::new(self.pipeview.as_ref().map_or(0, |p| p.capacity))),
-            sinks: self.sinks(n),
+                .then(|| PipeviewRecorder::new(spec.pipeview.as_ref().map_or(0, |p| p.capacity))),
+            spec,
             ..ProbeSet::default()
         }
     }
@@ -351,7 +347,7 @@ pub struct ProbeSet {
     /// The windowed timeline sampler, over the [`TIMELINE`] counters.
     pub sampler: Option<Sampler>,
     /// The per-phase wall-time profiler.
-    pub timer: Option<WallProfiler>,
+    pub timer: Option<PhaseProfile>,
     /// The CPI-stack cycle accountant.
     pub acct: Option<CpiStack>,
     /// The windowed CPI-stack sampler, over [`Component::NAMES`]. It is
@@ -359,8 +355,9 @@ pub struct ProbeSet {
     pub cpi_sampler: Option<Sampler>,
     /// The per-instruction lifecycle recorder.
     pub life: Option<PipeviewRecorder>,
-    /// Where the recorders are written after the run.
-    pub sinks: Sinks,
+    /// What the recorders were built from, and where they are written
+    /// after the run: a job's [`ProbeSpec::for_job`].
+    pub spec: ProbeSpec,
     /// The current cycle, kept by [`Probe::cycle_begin`].
     pub cycle: u64,
     /// Running sums of the per-cycle LQ and SQ occupancies: the
@@ -576,7 +573,7 @@ impl Probe for ProbeSet {
     }
 
     fn report(&mut self, result: &mut SimResult) {
-        result.profile = self.timer.as_ref().map(WallProfiler::report);
+        result.profile = self.timer.clone();
         result.cpi_stack = self.acct.clone();
         if let Some(l) = &mut self.life {
             result.stage_latency = Some(l.report());
@@ -599,18 +596,14 @@ mod tests {
             pipeview: Some(PipeviewConfig::parse("out/p.kanata")),
             ..ProbeSpec::default()
         };
-        let verbatim = Sinks {
-            trace: spec.trace.clone(),
-            pipeview: spec.pipeview.clone(),
-            cpi_csv: Some(PathBuf::from("out/cpi.csv")),
-        };
-        assert_eq!(spec.sinks(0), verbatim, "job 0 is verbatim");
-        let sinks = spec.build(7).sinks;
-        let trace = sinks.trace.expect("trace sink");
+        assert_eq!(spec.for_job(0), spec, "job 0 is verbatim");
+        let job = spec.build(7).spec;
+        assert_eq!(job, spec.for_job(7), "a job's recorders keep its spec");
+        let trace = job.trace.expect("trace sink");
         let paths = [
             trace.path.clone(),
-            sinks.pipeview.expect("pipeview sink").path,
-            sinks.cpi_csv.expect("cpi sink"),
+            job.pipeview.expect("pipeview sink").path,
+            job.cpi_csv.expect("cpi sink").0,
         ];
         for p in &paths {
             assert!(p.to_string_lossy().ends_with(".7"), "{}", p.display());
@@ -623,6 +616,20 @@ mod tests {
             "{}",
             timeline.display()
         );
+    }
+
+    #[test]
+    fn only_an_event_writing_trace_gets_a_ring() {
+        for (mode, ring) in [("events", true), ("chrome", true), ("timeline", false)] {
+            let spec = ProbeSpec {
+                trace: Some(TraceConfig::parse(&format!("t:{mode}"), None)),
+                ..ProbeSpec::default()
+            };
+            let probe = spec.build(0);
+            assert_eq!(probe.trace.is_some(), ring, "{mode}");
+            assert_eq!(probe.sampler.is_some(), !ring, "{mode}: sampled by default");
+            assert!(probe.enabled(), "{mode}");
+        }
     }
 
     #[test]
@@ -671,16 +678,18 @@ mod tests {
         let probe = csv.build(0);
         assert!(probe.acct.is_none() && probe.cpi_sampler.is_none());
         assert!(
-            probe.sinks.is_empty(),
+            csv.writes_nothing(),
             "nothing to write without the accountant"
         );
+        assert_eq!(probe.spec.cpi_csv, None);
         let accounted = ProbeSpec {
             accounting: true,
             ..csv
         };
         let probe = accounted.build(0);
         assert!(probe.acct.is_some() && probe.cpi_sampler.is_some());
-        assert_eq!(probe.sinks.cpi_csv, Some(PathBuf::from("cpi.csv")));
+        assert_eq!(probe.spec.cpi_csv, accounted.cpi_csv);
+        assert!(!accounted.writes_nothing());
         assert!(ProbeSpec::default().is_off());
     }
 
@@ -692,19 +701,20 @@ mod tests {
         };
         assert!(log.is_off(), "a log alone attaches nothing");
         let probe = log.build(0);
-        assert!(probe.life.is_none() && probe.sinks.is_empty());
+        assert!(probe.life.is_none() && probe.spec.pipeview.is_none());
+        assert!(log.writes_nothing());
         let recorded = ProbeSpec {
             lifecycle: true,
             ..log
         };
-        assert_eq!(recorded.build(0).sinks.pipeview, recorded.pipeview);
+        assert_eq!(recorded.build(0).spec.pipeview, recorded.pipeview);
         // With no log, the recorder keeps no finished records.
         let mut probe = ProbeSpec {
             lifecycle: true,
             ..ProbeSpec::default()
         }
         .build(0);
-        assert!(probe.sinks.is_empty());
+        assert!(probe.spec.writes_nothing());
         let life = probe.life.as_mut().expect("lifecycle recorder");
         life.init(4);
         life.fetch(0, 1, &Instruction::op(Pc(0x400), InstrKind::IntAlu));
@@ -719,7 +729,7 @@ mod tests {
     fn an_empty_probe_set_listens_to_nothing() {
         let probe = ProbeSet::default();
         assert!(!probe.enabled() && !probe.timing());
-        assert!(probe.sinks.is_empty());
+        assert!(probe.spec.writes_nothing());
         assert!(!NopProbe.enabled() && !NopProbe.timing());
     }
 }

@@ -1,7 +1,8 @@
 //! The simulator self-profiler: scoped wall-time phase timers.
 //!
-//! A [`WallProfiler`] is the phase timer of a
-//! [`ProbeSet`](crate::probe::ProbeSet). Timing sites ask the probe
+//! A [`PhaseProfile`] is the phase timer of a
+//! [`ProbeSet`](crate::probe::ProbeSet) and the report it leaves in
+//! [`SimResult::profile`](crate::SimResult::profile). Timing sites ask the probe
 //! whether it times at all, and [`NopProbe`](crate::probe::NopProbe)
 //! answers a constant `false`, so an unprofiled simulator takes no
 //! `Instant::now()` calls on the hot path. `tests/telemetry_profile.rs`
@@ -73,42 +74,6 @@ impl Phase {
     }
 }
 
-/// Accumulates wall time and invocation counts per phase.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WallProfiler {
-    nanos: [u64; Phase::ALL.len()],
-    calls: [u64; Phase::ALL.len()],
-}
-
-impl WallProfiler {
-    /// Creates an empty profiler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one timed invocation of `phase`.
-    #[inline]
-    pub fn record(&mut self, phase: Phase, nanos: u64) {
-        let i = phase.index();
-        self.nanos[i] += nanos;
-        self.calls[i] += 1;
-    }
-
-    /// The accumulated per-phase report.
-    pub fn report(&self) -> PhaseProfile {
-        PhaseProfile {
-            phases: Phase::ALL
-                .iter()
-                .map(|&p| PhaseStat {
-                    phase: p.name().to_string(),
-                    calls: self.calls[p.index()],
-                    nanos: self.nanos[p.index()],
-                })
-                .collect(),
-        }
-    }
-}
-
 /// One phase's accumulated totals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseStat {
@@ -120,15 +85,38 @@ pub struct PhaseStat {
     pub nanos: u64,
 }
 
-/// A per-run (or aggregated) phase report.
+/// The phase timer and its per-run (or aggregated) report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseProfile {
-    /// Per-phase totals, in [`Phase::ALL`] order for single runs;
-    /// merged reports keep the union of phase names.
+    /// Per-phase totals, in [`Phase::ALL`] order.
     pub phases: Vec<PhaseStat>,
 }
 
+impl Default for PhaseProfile {
+    /// Every phase, untouched, in [`Phase::ALL`] order.
+    fn default() -> Self {
+        PhaseProfile {
+            phases: Phase::ALL
+                .iter()
+                .map(|p| PhaseStat {
+                    phase: p.name().to_string(),
+                    calls: 0,
+                    nanos: 0,
+                })
+                .collect(),
+        }
+    }
+}
+
 impl PhaseProfile {
+    /// Adds one timed invocation of `phase`.
+    #[inline]
+    pub fn record(&mut self, phase: Phase, nanos: u64) {
+        let stat = &mut self.phases[phase.index()];
+        stat.calls += 1;
+        stat.nanos += nanos;
+    }
+
     /// Total nanoseconds across phases, counting nested phases once
     /// (the nested [`Phase::LsqSearch`] and [`Phase::Squash`] spans are
     /// already inside their parents).
@@ -140,17 +128,11 @@ impl PhaseProfile {
             .sum()
     }
 
-    /// Folds another report into this one, matching phases by name and
-    /// appending phases this report has not seen.
+    /// Folds another report into this one, phase by phase.
     pub fn merge(&mut self, other: &PhaseProfile) {
-        for stat in &other.phases {
-            match self.phases.iter_mut().find(|s| s.phase == stat.phase) {
-                Some(mine) => {
-                    mine.calls += stat.calls;
-                    mine.nanos += stat.nanos;
-                }
-                None => self.phases.push(stat.clone()),
-            }
+        for (mine, stat) in self.phases.iter_mut().zip(&other.phases) {
+            mine.calls += stat.calls;
+            mine.nanos += stat.nanos;
         }
     }
 
@@ -194,39 +176,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wall_profiler_accumulates_per_phase() {
-        let mut p = WallProfiler::new();
+    fn record_accumulates_per_phase() {
+        let mut p = PhaseProfile::default();
         p.record(Phase::Fetch, 10);
         p.record(Phase::Fetch, 5);
         p.record(Phase::Commit, 7);
-        let report = p.report();
-        let fetch = report.phases.iter().find(|s| s.phase == "fetch").unwrap();
+        let fetch = p.phases.iter().find(|s| s.phase == "fetch").unwrap();
         assert_eq!((fetch.calls, fetch.nanos), (2, 15));
-        let commit = report.phases.iter().find(|s| s.phase == "commit").unwrap();
+        let commit = p.phases.iter().find(|s| s.phase == "commit").unwrap();
         assert_eq!((commit.calls, commit.nanos), (1, 7));
-        // Every phase appears, even untouched ones.
-        assert_eq!(report.phases.len(), Phase::ALL.len());
+        // Every phase appears, even untouched ones, in report order.
+        let names: Vec<&str> = p.phases.iter().map(|s| s.phase.as_str()).collect();
+        assert_eq!(names, Phase::ALL.map(Phase::name));
     }
 
     #[test]
     fn total_excludes_nested_phases() {
-        let mut p = WallProfiler::new();
+        let mut p = PhaseProfile::default();
         p.record(Phase::WakeupIssue, 100);
         p.record(Phase::LsqSearch, 60); // inside WakeupIssue
         p.record(Phase::Commit, 40);
         p.record(Phase::Squash, 10); // inside Commit
-        assert_eq!(p.report().total_nanos(), 140);
+        assert_eq!(p.total_nanos(), 140);
     }
 
     #[test]
-    fn merge_matches_by_name() {
-        let mut p = WallProfiler::new();
-        p.record(Phase::Fetch, 10);
-        let mut a = p.report();
-        let mut q = WallProfiler::new();
+    fn merge_adds_phase_by_phase() {
+        let mut a = PhaseProfile::default();
+        a.record(Phase::Fetch, 10);
+        let mut q = PhaseProfile::default();
         q.record(Phase::Fetch, 5);
         q.record(Phase::Dispatch, 3);
-        a.merge(&q.report());
+        a.merge(&q);
         let fetch = a.phases.iter().find(|s| s.phase == "fetch").unwrap();
         assert_eq!((fetch.calls, fetch.nanos), (2, 15));
         let dispatch = a.phases.iter().find(|s| s.phase == "dispatch").unwrap();
@@ -235,19 +216,18 @@ mod tests {
 
     #[test]
     fn json_keys_every_phase_with_calls_and_nanos() {
-        let mut p = WallProfiler::new();
+        let mut p = PhaseProfile::default();
         p.record(Phase::LsqSearch, 42);
         p.record(Phase::Squash, 1);
         p.record(Phase::Squash, 2);
-        let report = p.report();
-        let json = Json::parse(&report.to_json().to_string()).unwrap();
+        let json = Json::parse(&p.to_json().to_string()).unwrap();
         let keys: Vec<&str> = json
             .as_obj()
             .unwrap()
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        let names: Vec<&str> = report.phases.iter().map(|s| s.phase.as_str()).collect();
+        let names: Vec<&str> = p.phases.iter().map(|s| s.phase.as_str()).collect();
         assert_eq!(keys, names);
         let field = |phase: &str, f: &str| json.get(phase).and_then(|s| s.get(f)?.as_u64());
         assert_eq!(field("lsq_search", "calls"), Some(1));
@@ -259,10 +239,10 @@ mod tests {
 
     #[test]
     fn render_marks_nested_phases() {
-        let mut p = WallProfiler::new();
+        let mut p = PhaseProfile::default();
         p.record(Phase::WakeupIssue, 2_000_000);
         p.record(Phase::LsqSearch, 1_000_000);
-        let text = p.report().render();
+        let text = p.render();
         assert!(text.contains("wakeup_issue"), "{text}");
         assert!(text.contains("  lsq_search"), "{text}");
     }

@@ -38,9 +38,12 @@ pub struct SimResult {
     pub inflight_loads: f64,
     /// LSQ event counters.
     pub lsq: LsqStats,
-    /// L1 d-cache miss rate.
+    /// L1 d-cache miss rate, over every access since the caches were
+    /// pre-warmed: [`SimResult::since`] does not window it, so a
+    /// measured result's rate covers the warm-up too.
     pub l1d_miss_rate: f64,
-    /// L2 miss rate.
+    /// L2 miss rate, over every access since the caches were pre-warmed
+    /// (not windowed, like [`SimResult::l1d_miss_rate`]).
     pub l2_miss_rate: f64,
     /// Whether the run ended by hitting the safety cycle cap rather than
     /// the instruction budget (indicates a deadlocked configuration).
@@ -107,7 +110,9 @@ impl SimResult {
     /// The counters of the window between `before`, an earlier snapshot
     /// of the same run, and this one. [`Simulator::run`] reports
     /// cumulative counters, so the warm-up prefix is subtracted here
-    /// (see [`Simulator::measure`]).
+    /// (see [`Simulator::measure`]). The cache miss rates are the
+    /// exception: they are kept as they are, so they cover the warm-up
+    /// and the window together.
     ///
     /// [`Simulator::run`]: crate::Simulator::run
     /// [`Simulator::measure`]: crate::Simulator::measure

@@ -15,7 +15,7 @@ use lsq::experiments::runner::run_matrix;
 use lsq::experiments::{telemetry, Engine, Job, RunSpec};
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
 use lsq::obs::Json;
-use lsq::pipeline::{NopProbe, Phase, ProbeSet, WallProfiler};
+use lsq::pipeline::{NopProbe, Phase, PhaseProfile, ProbeSet};
 use lsq::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -82,7 +82,7 @@ fn profiling_does_not_perturb_the_simulation() {
 
     let mut profiled_stream = VecStream::new(instrs);
     let timer = ProbeSet {
-        timer: Some(WallProfiler::new()),
+        timer: Some(PhaseProfile::default()),
         ..ProbeSet::default()
     };
     let mut profiled = Simulator::with_probe(SimConfig::default(), timer);

@@ -8,7 +8,7 @@ use lsq::experiments::experiments::design_points;
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
 use lsq::obs::{timeline_csv, Event, Json, MissLevel, Sampler, TraceBuffer, TraceConfig, TIMELINE};
 use lsq::pipeline::{
-    Component, CpiStack, NopProbe, PipeviewRecorder, Probe, ProbeSet, WallProfiler,
+    Component, CpiStack, NopProbe, PhaseProfile, PipeviewRecorder, Probe, ProbeSet,
 };
 use lsq::prelude::*;
 
@@ -338,7 +338,7 @@ fn all_recorders_on_match_the_nop_probe() {
         let all = ProbeSet {
             trace: Some(TraceBuffer::with_capacity(1 << 10)),
             sampler: Some(Sampler::new(500, &TIMELINE)),
-            timer: Some(WallProfiler::new()),
+            timer: Some(PhaseProfile::default()),
             acct: Some(CpiStack::default()),
             cpi_sampler: Some(Sampler::new(500, &Component::NAMES)),
             life: Some(PipeviewRecorder::new(1 << 10)),
